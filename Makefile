@@ -19,7 +19,7 @@ lint-update-baseline:
 	$(PYTHON) -m repro.devtools src --update-baseline
 
 bench:
-	$(PYTHON) benchmarks/bench_service_throughput.py
+	PYTHONPATH=src:. $(PYTHON) -m benchmarks.e2e
 
 bench-lint:
 	$(PYTHON) benchmarks/bench_lint.py --json lint-bench.json

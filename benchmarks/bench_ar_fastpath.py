@@ -149,7 +149,7 @@ def _best_of(fn, repeats: int = 3) -> float:
 def _build_engine(n_ratings: int) -> RatingEngine:
     rng = np.random.default_rng(42)
     engine = RatingEngine(
-        ServiceConfig(n_shards=1, batch_max_ratings=10_000, detector_stride=25)
+        ServiceConfig(batch_max_ratings=10_000, detector_stride=25)
     )
     for i in range(n_ratings):
         engine.submit(

@@ -67,13 +67,14 @@ def _stream(n: int = N_RATINGS) -> List[Rating]:
 
 def _config(sources: Tuple[str, ...]) -> ServiceConfig:
     return ServiceConfig(
-        n_shards=1,
         batch_max_ratings=256,
         detector_window=12,
         detector_order=2,
         detector_stride=3,
-        detector_threshold=0.2,
         ensemble_sources=sources,
+        ensemble_thresholds=tuple(
+            0.2 if name == "ar" else None for name in sources
+        ),
     )
 
 

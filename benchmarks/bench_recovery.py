@@ -73,12 +73,11 @@ def _config(wal_dir: Path, backend: str) -> ServiceConfig:
         store_backend=backend,
         wal_segment_entries=SEGMENT_ENTRIES,
         wal_fsync_every=256,  # building history, not measuring durability
-        n_shards=1,
         batch_max_ratings=4096,
         detector_window=12,
         detector_order=2,
         detector_stride=25,
-        detector_threshold=0.2,
+        ensemble_thresholds=(0.2,),
     )
 
 

@@ -4,7 +4,7 @@ Runs any paper experiment and prints its paper-vs-measured report.
 ``repro list`` shows what is available; every experiment accepts
 ``--seed`` and, where meaningful, a size knob so quick runs stay quick.
 ``repro serve`` runs the long-lived rating service (HTTP API over the
-sharded streaming engine), ``repro replay`` pushes a recorded trace
+streaming engine), ``repro replay`` pushes a recorded trace
 through the same engine offline, and ``repro lint`` runs the
 project's static analyzer (:mod:`repro.devtools`).
 
@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     serve_parser = sub.add_parser(
-        "serve", help="run the rating service (sharded engine + HTTP API)"
+        "serve", help="run the rating service (engine + HTTP API)"
     )
     _add_engine_arguments(serve_parser)
     serve_parser.add_argument("--host", default="127.0.0.1", help="bind address")
@@ -114,7 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     """Service-engine knobs shared by ``serve`` and ``replay``."""
-    parser.add_argument("--shards", type=int, default=4, help="engine shard count")
     parser.add_argument(
         "--workers",
         type=int,
@@ -137,7 +136,7 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         help="cluster: group-commit the ingest WAL every N acks",
     )
     parser.add_argument(
-        "--batch", type=int, default=64, help="ratings per trust flush (per shard)"
+        "--batch", type=int, default=64, help="ratings per trust flush"
     )
     parser.add_argument(
         "--batch-seconds",
@@ -152,7 +151,10 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         "--stride", type=int, default=5, help="arrivals between AR refits"
     )
     parser.add_argument(
-        "--threshold", type=float, default=0.10, help="model-error alarm threshold"
+        "--threshold",
+        type=float,
+        default=None,
+        help="AR model-error alarm threshold (default: 0.10)",
     )
     parser.add_argument(
         "--sources",
@@ -241,14 +243,15 @@ def _build_engine(args: argparse.Namespace):
             float(w) for w in args.source_weights.split(",") if w.strip()
         )
     config = ServiceConfig(
-        n_shards=args.shards,
         batch_max_ratings=args.batch,
         batch_max_seconds=args.batch_seconds,
         detector_window=args.window,
         detector_stride=args.stride,
-        detector_threshold=args.threshold,
         ensemble_sources=sources,
         ensemble_weights=weights,
+        ensemble_thresholds=tuple(
+            args.threshold if name == "ar" else None for name in sources
+        ),
         ensemble_combiner=args.combiner,
         store_backend=args.store,
         store_hot_window=args.hot_window,
@@ -276,11 +279,7 @@ def _run_serve(args: argparse.Namespace) -> int:
 
     engine = _build_engine(args)
     durability = args.wal_dir if args.wal_dir else "disabled (no --wal-dir)"
-    tier = (
-        f"{args.workers} worker processes"
-        if args.workers
-        else f"{args.shards} shards in-process"
-    )
+    tier = f"{args.workers} worker processes" if args.workers else "in-process"
     print(
         f"repro service on http://{args.host}:{args.port} "
         f"({tier}, WAL: {durability}); SIGTERM or Ctrl-C to stop"
@@ -314,8 +313,7 @@ def _run_replay(args: argparse.Namespace) -> int:
     lines = [
         f"replayed {trace.name}: {accepted}/{len(results)} ratings accepted "
         f"in {elapsed:.3f}s ({stats['replay_ratings_per_second']:.0f} ratings/sec)",
-        f"  shards: {stats['n_shards']}  products: {stats['n_products']}  "
-        f"raters: {stats['n_raters']}",
+        f"  products: {stats['n_products']}  raters: {stats['n_raters']}",
         f"  AR evaluations: {stats['ar_evaluations']}  "
         f"windows flagged: {stats['windows_flagged']}  "
         f"trust updates: {stats['trust_updates']}",

@@ -1,7 +1,7 @@
 """Whole-program model backing the concurrency rules.
 
 The concurrency family needs more than one AST at a time: *which class
-does this receiver belong to*, *which lock does ``shard.lock`` denote*,
+does this receiver belong to*, *which lock does ``engine._lock`` denote*,
 and *what does this method acquire, transitively*.  This module builds
 that model with deliberately lightweight inference:
 
@@ -68,7 +68,7 @@ _BLOCKING_SEED_RE = re.compile(
 
 # Docstring idioms this codebase already uses to state "my caller
 # synchronizes for me"; such functions are exempt from lexical checks.
-_ASSUME_LOCKED_RE = re.compile(r"lock held|single-threaded|write gate", re.IGNORECASE)
+_ASSUME_LOCKED_RE = re.compile(r"lock held|single-threaded", re.IGNORECASE)
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Concurrency rules: lock ordering, blocking I/O, declared guards.
 
-The serving stack (``repro.service``) nests a per-shard ``RLock``, a
-global trust lock, a counter lock, and the WAL's own lock.  Related
+The serving stack (``repro.service``) nests an engine ``RLock``, a
+trust lock, and the WAL's own lock.  Related
 work on iterative reputation systems shows aggregation-state
 corruption *compounds* across update rounds, so these rules turn the
 locking discipline into a machine-checked invariant instead of a code
@@ -13,14 +13,14 @@ review item:
   non-reentrant locks.
 * **CC02** -- flags calls that (transitively) reach blocking I/O
   (``time.sleep``, ``os.fsync``, ``subprocess``, sockets, builtin
-  ``open``) while a lock is lexically held.  Latency under a shard
-  lock is serialized latency for every product on the shard.
+  ``open``) while a lock is lexically held.  Latency under the engine
+  lock is serialized latency for every product the engine serves.
 * **CC03** -- enforces ``_GUARDED_BY`` class declarations: a write to
   a declared attribute (or a mutating call through it) outside a
   ``with <receiver>.<lock>:`` region is a data race by declaration.
   ``__init__``/``__new__`` are exempt, as are functions whose
   docstring states the synchronization contract ("lock held",
-  "single-threaded", "write gate") or whose name ends in ``_locked``.
+  "single-threaded") or whose name ends in ``_locked``.
 """
 
 from __future__ import annotations
@@ -159,8 +159,8 @@ class BlockingUnderLockRule(Rule):
     name = "blocking-call-under-lock"
     rationale = (
         "A lock held across blocking I/O serializes every thread needing "
-        "that lock behind the device; under a shard lock that is the tail "
-        "latency of every product on the shard."
+        "that lock behind the device; under the engine lock that is the "
+        "tail latency of every product the engine serves."
     )
 
     def run(self, project: ProjectModel, files: List[SourceFile]) -> Iterator[Finding]:

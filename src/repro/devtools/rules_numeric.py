@@ -4,7 +4,7 @@ Trust, suspicion, and AR model-error values are accumulated floats --
 sums of products of beta-function outputs.  Exact ``==``/``!=`` on
 them is a latent bug: two mathematically equal trust values differ in
 the last ulp after different accumulation orders (exactly what the
-sharded engine's batching produces), so equality-gated branches flip
+engine's flush batching produces), so equality-gated branches flip
 nondeterministically.  Likewise, unseeded randomness in experiment
 code silently destroys the reproducibility contract every result in
 EXPERIMENTS.md depends on, and ``except Exception: pass`` hides the

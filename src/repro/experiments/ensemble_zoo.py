@@ -29,7 +29,7 @@ The zoo covers the signal-model blind spot on purpose:
 
 The AR threshold is calibrated to the zoo's honest noise: the honest
 windows' normalized model error sits around 0.005-0.09, so the zoo
-uses ``detector_threshold=0.008`` (~1 percent honest flag rate)
+uses an AR threshold of 0.008 (~1 percent honest flag rate)
 instead of the serving default.
 
 The headline numbers are the per-family AUC deltas: the ensemble must
@@ -214,15 +214,16 @@ def _to_ratings(triples: List[Tuple[int, int, float]]) -> List[Rating]:
 
 
 def _engine_config(sources: Tuple[str, ...]) -> ServiceConfig:
-    """Deterministic single-shard, count-flushed engine for grading."""
+    """Deterministic count-flushed engine for grading."""
     return ServiceConfig(
-        n_shards=1,
         batch_max_ratings=64,
         detector_window=12,
         detector_order=2,
         detector_stride=3,
-        detector_threshold=0.008,
         ensemble_sources=sources,
+        ensemble_thresholds=tuple(
+            0.008 if name == "ar" else None for name in sources
+        ),
     )
 
 

@@ -2,7 +2,7 @@
 
 Everything before this package was batch -- re-processing intervals
 offline.  ``repro.service`` is the live half of the paper's Fig. 1
-portal: a sharded, thread-safe :class:`RatingEngine` streaming ratings
+portal: a thread-safe :class:`RatingEngine` streaming ratings
 through a pluggable online detector ensemble
 (:mod:`repro.service.ensemble`: the paper's AR signal model, an
 incremental co-rating collusion graph, online iterative filtering)
@@ -15,20 +15,21 @@ HTTP API (:mod:`repro.service.http`).
 
 When one process is not enough, :mod:`repro.service.cluster` runs the
 same engine as a multi-process sharded tier -- a coordinator process
-acking ratings from its own WAL and routing them to single-shard
-worker processes over a consistent-hash ring (true multi-core scaling,
-no GIL contention between shards).
+acking ratings from its own WAL and routing them to engine worker
+processes over a consistent-hash ring (true multi-core scaling, no
+GIL contention between workers).  Processes are the only partitioning
+mechanism: one in-process engine is one partition.
 
 Run it from the command line::
 
-    repro serve --port 8080 --shards 4 --wal-dir ./wal
+    repro serve --port 8080 --wal-dir ./wal
     repro serve --port 8080 --workers 4 --wal-dir ./wal   # multi-process
-    repro replay trace.csv --shards 4
+    repro replay trace.csv
 
 or embed it::
 
     from repro.service import RatingEngine, ServiceConfig
-    engine = RatingEngine(ServiceConfig(n_shards=4, wal_dir="./wal"))
+    engine = RatingEngine(ServiceConfig(wal_dir="./wal"))
     engine.submit(rating)
     engine.score(rating.product_id)
 """

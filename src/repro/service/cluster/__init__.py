@@ -1,6 +1,6 @@
 """Multi-process sharded serving tier.
 
-The cluster escapes the GIL by running ``cluster_workers`` single-shard
+The cluster escapes the GIL by running ``cluster_workers``
 :class:`~repro.service.engine.RatingEngine` processes behind a
 :class:`~repro.service.cluster.coordinator.ClusterCoordinator` that
 routes products over a consistent-hash ring, acks ratings after its

@@ -2,8 +2,7 @@
 
 :class:`ClusterCoordinator` presents the :class:`RatingEngine` serving
 surface (``submit``/``score``/``trust``/``snapshot_stats``/...) while
-fanning the actual work out to ``cluster_workers`` single-shard engine
-processes (:mod:`repro.service.cluster.worker`), so AR refits and
+fanning the actual work out to ``cluster_workers`` engine processes (:mod:`repro.service.cluster.worker`), so AR refits and
 ensemble sweeps run on real parallel cores instead of time-slicing one
 GIL.
 
@@ -527,7 +526,7 @@ class ClusterCoordinator:
         """Procedure-2 update from one worker flush digest.
 
         Application order matches the in-process engine's
-        ``_flush_shard`` exactly (provided, then suspicion values, then
+        ``_flush_locked`` exactly (provided, then suspicion values, then
         flagged counts, then ``update()``), which is what makes a
         single-worker cluster bit-for-bit equal to the in-process
         engine.  Digests at or below the worker's last applied seq are
@@ -956,7 +955,6 @@ class ClusterCoordinator:
             "n_rejected": totals["rejected"],
             "n_products": totals["products"],
             "n_raters": n_raters,
-            "n_shards": len(self._handles),
             "n_workers": len(self._handles),
             "ar_evaluations": totals["evaluations"],
             "windows_flagged": totals["flagged"],

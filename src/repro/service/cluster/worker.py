@@ -1,7 +1,7 @@
-"""Cluster worker process: a single-shard engine behind a socket.
+"""Cluster worker process: an engine behind a socket.
 
 ``worker_main`` is the spawn target for one worker.  The worker owns a
-plain :class:`~repro.service.engine.RatingEngine` (one shard, its own
+plain :class:`~repro.service.engine.RatingEngine` (its own
 WAL subdirectory and tiered store, its own detector ensemble) built in
 **trust-delegate mode**: every trust flush becomes a digest frame sent
 to the coordinator, whose reply is the authoritative trust table.

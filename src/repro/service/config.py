@@ -1,7 +1,7 @@
 """Configuration for the serving engine.
 
 One frozen dataclass collects every knob of the long-running service:
-sharding, batching, the per-product streaming detector, the trust
+batching, the per-product streaming detector, the trust
 manager, and durability.  It round-trips through plain dicts so
 snapshots can embed the exact configuration they were taken under and
 recovery can rebuild an identically-behaving engine.
@@ -17,11 +17,9 @@ from repro.signal.ar import AR_METHODS
 
 __all__ = ["ServiceConfig"]
 
-#: Default alarm threshold per ensemble source; ``None`` defers to the
-#: deprecated ``detector_threshold`` field (the AR source's historical
-#: knob, kept so pre-ensemble configs and snapshots still load).
-_DEFAULT_SOURCE_THRESHOLDS: Dict[str, Optional[float]] = {
-    "ar": None,
+#: Default alarm threshold per ensemble source.
+_DEFAULT_SOURCE_THRESHOLDS: Dict[str, float] = {
+    "ar": 0.10,
     "cograph": 0.5,
     "iterfilter": 0.5,
 }
@@ -43,20 +41,16 @@ class ServiceConfig:
     """Knobs of the :class:`~repro.service.engine.RatingEngine`.
 
     Attributes:
-        n_shards: number of independently locked shards; products are
-            hashed across them, so unrelated products never contend.
-        batch_max_ratings: flush a shard's pending observations into
-            the trust manager after this many ingested ratings (the
-            ``K`` of flush-every-K-or-T).
+        n_shards: must be 1.  The engine is a single partition;
+            parallelism comes from ``cluster_workers`` processes.
+        batch_max_ratings: flush the pending observations into the
+            trust manager after this many ingested ratings (the ``K``
+            of flush-every-K-or-T).
         batch_max_seconds: also flush when this much wall time passed
-            since the shard's last flush (None disables the deadline;
+            since the last flush (None disables the deadline;
             deterministic replays should disable it).
         detector_order: AR model order of the per-product streaming
             detector.
-        detector_threshold: normalized model-error alarm threshold.
-            *Deprecated alias*: this is now just the default for the
-            AR entry of :attr:`ensemble_thresholds`; new configs
-            should set per-source thresholds there.
         detector_window: ratings per streaming analysis window.
         detector_stride: arrivals between AR refits.
         detector_method: AR estimator name (see ``repro.signal.ar``).
@@ -77,8 +71,9 @@ class ServiceConfig:
             non-negative and must not all be zero.
         ensemble_thresholds: per-source alarm thresholds, aligned with
             ``ensemble_sources``; a ``None`` entry (or a ``None``
-            tuple) picks the source default -- for ``"ar"`` that is
-            the deprecated :attr:`detector_threshold`.
+            tuple) picks the source default (0.10 for ``"ar"`` -- a
+            normalized model-error alarm threshold -- and 0.5 for the
+            graph and iterative-filtering sources).
         ensemble_periods: per-source scoring period in flushes,
             aligned with ``ensemble_sources``; a ``None`` tuple picks
             the source defaults (AR every flush; the graph and
@@ -96,7 +91,7 @@ class ServiceConfig:
         trust_detection_threshold: trust below this marks a rater
             malicious.
         trust_forgetting_factor: evidence discount per trust update.
-        store_backend: rating-row storage engine per shard:
+        store_backend: rating-row storage engine:
             ``"memory"`` (the historical all-in-RAM lists) or
             ``"tiered"`` (full history in sqlite cold storage plus
             per-product numpy hot windows, so resident memory stays
@@ -108,9 +103,9 @@ class ServiceConfig:
             sqlite.  Ignored by the memory backend.
         wal_dir: directory for the write-ahead log and snapshots
             (None = run without durability).  The tiered backend
-            places its per-shard sqlite files in a ``store/``
-            subdirectory; without a ``wal_dir`` it falls back to
-            in-memory sqlite (no durability).
+            places its sqlite file in a ``store/`` subdirectory;
+            without a ``wal_dir`` it falls back to in-memory sqlite
+            (no durability).
         wal_fsync_every: fsync the WAL every N appends.
         wal_segment_entries: entries per WAL segment file; the log
             rotates to a new segment after this many appends, and the
@@ -125,8 +120,8 @@ class ServiceConfig:
         cluster_workers: run the multi-process serving tier with this
             many worker processes (0 = the in-process engine; see
             :mod:`repro.service.cluster`).  Products are
-            consistent-hashed across workers, each running a
-            single-shard engine in its own process with its own WAL
+            consistent-hashed across workers, each running an
+            engine in its own process with its own WAL
             subdirectory, store, and ensemble; the coordinator owns
             the trust manager and the ingest WAL.  Requires
             ``wal_dir``.
@@ -142,11 +137,10 @@ class ServiceConfig:
             workers by default).
     """
 
-    n_shards: int = 4
+    n_shards: int = 1
     batch_max_ratings: int = 64
     batch_max_seconds: Optional[float] = None
     detector_order: int = 4
-    detector_threshold: float = 0.10
     detector_window: int = 50
     detector_stride: int = 5
     detector_method: str = "covariance"
@@ -174,8 +168,11 @@ class ServiceConfig:
     cluster_ack_fsync_every: int = 64
 
     def __post_init__(self) -> None:
-        if self.n_shards < 1:
-            raise ConfigurationError(f"n_shards must be >= 1, got {self.n_shards}")
+        if self.n_shards != 1:
+            raise ConfigurationError(
+                f"n_shards must be 1, got {self.n_shards}: the engine is one "
+                f"partition; run cluster_workers processes for parallelism"
+            )
         if self.batch_max_ratings < 1:
             raise ConfigurationError(
                 f"batch_max_ratings must be >= 1, got {self.batch_max_ratings}"
@@ -243,7 +240,9 @@ class ServiceConfig:
 
         OnlineARDetector(
             order=self.detector_order,
-            threshold=self.source_thresholds.get("ar", self.detector_threshold),
+            threshold=self.source_thresholds.get(
+                "ar", _DEFAULT_SOURCE_THRESHOLDS["ar"]
+            ),
             window_size=self.detector_window,
             stride=self.detector_stride,
             method=self.detector_method,
@@ -336,22 +335,12 @@ class ServiceConfig:
 
     @property
     def source_thresholds(self) -> Dict[str, float]:
-        """Resolved source -> alarm threshold.
-
-        ``None`` entries fall back to the per-source default; for the
-        AR source the default is the deprecated
-        :attr:`detector_threshold` field, so configs written before
-        per-source thresholds behave unchanged.
-        """
+        """Resolved source -> alarm threshold (``None`` = source default)."""
         explicit = self.ensemble_thresholds or (None,) * len(self.ensemble_sources)
-        resolved = {}
-        for name, value in zip(self.ensemble_sources, explicit):
-            if value is None:
-                value = _DEFAULT_SOURCE_THRESHOLDS.get(name)
-            if value is None:  # the "ar" default defers to the alias
-                value = self.detector_threshold
-            resolved[name] = float(value)
-        return resolved
+        return {
+            name: float(_DEFAULT_SOURCE_THRESHOLDS[name] if value is None else value)
+            for name, value in zip(self.ensemble_sources, explicit)
+        }
 
     @property
     def source_periods(self) -> Dict[str, int]:
@@ -369,11 +358,9 @@ class ServiceConfig:
     def worker_config(self, index: int) -> "ServiceConfig":
         """Derive worker ``index``'s engine config from this cluster config.
 
-        Each worker runs a plain single-shard engine: its own WAL
-        subdirectory (``<wal_dir>/worker-NNN``), ``n_shards=1`` (the
-        cluster's sharding happens at the coordinator's hash ring),
-        ``cluster_workers=0`` (a worker never nests a cluster), and
-        automatic snapshots disabled -- snapshotting is coordinated
+        Each worker runs a plain engine: its own WAL subdirectory
+        (``<wal_dir>/worker-NNN``), ``cluster_workers=0`` (a worker
+        never nests a cluster), and automatic snapshots disabled -- snapshotting is coordinated
         cluster-wide so the coordinator's state and the workers' never
         disagree about which trust digests a snapshot covers.
         """
@@ -387,7 +374,6 @@ class ServiceConfig:
         return ServiceConfig.from_dict(
             {
                 **self.to_dict(),
-                "n_shards": 1,
                 "cluster_workers": 0,
                 "wal_dir": f"{self.wal_dir}/worker-{index:03d}",
                 "snapshot_every": 0,

@@ -1,13 +1,16 @@
-"""The sharded streaming rating engine (the service's core).
+"""The streaming rating engine (the service's core).
 
 :class:`RatingEngine` turns the library's batch primitives into a
 long-running, thread-safe serving component:
 
-* **Sharding** -- products are hashed across ``n_shards`` independently
-  locked shards, each owning its slice of the rating store, its
-  instances of the configured detector ensemble
+* **One partition** -- the engine owns one rating store, one instance
+  of the configured detector ensemble
   (:mod:`repro.service.ensemble`), and the pending observation tallies
-  for its raters.  Unrelated products never contend on a lock.
+  for every rater, all behind a single engine lock.  Parallelism comes
+  from processes, not threads: ``repro serve --workers N`` runs N
+  engines behind a consistent-hash coordinator
+  (:mod:`repro.service.cluster`), so a default in-process engine is
+  the same program as a 1-worker cluster worker.
 * **Detector ensemble** -- every accepted rating is observed by each
   enabled :class:`~repro.service.ensemble.OnlineSuspicionSource`; at
   flush time their per-rater suspicion masses are merged by the
@@ -16,8 +19,8 @@ long-running, thread-safe serving component:
   engine bit-for-bit (see
   :class:`~repro.service.ensemble.ar_source.ARSuspicionSource`).
 * **Batched trust updates** -- per-rater observations (ratings
-  provided, suspicion charged by the sources) accumulate in the shard
-  and are flushed into the global
+  provided, suspicion charged by the sources) accumulate in the engine
+  and are flushed into the
   :class:`~repro.trust.manager.TrustManager` every
   ``batch_max_ratings`` ingests or ``batch_max_seconds`` of wall time,
   amortizing Procedure 2 over many ratings.
@@ -26,18 +29,17 @@ long-running, thread-safe serving component:
   persists the bounded engine state (ensemble state included) and
   :meth:`recover` rebuilds a crashed engine bit-for-bit by replaying
   the WAL over the latest snapshot.
-* **Tiered storage** -- with ``store_backend="tiered"`` each shard's
-  rating rows live in a sqlite cold tier (one file per shard under
-  ``wal_dir/store/``) plus per-product numpy hot windows, keyed by
-  WAL sequence number.  Because the cold tier is durable, snapshots
-  garbage-collect the WAL segments they cover, so disk, memory, and
-  recovery time stay proportional to the suffix since the last
-  snapshot -- never to total history.
+* **Tiered storage** -- with ``store_backend="tiered"`` the rating rows
+  live in a sqlite cold tier (``wal_dir/store/ratings.sqlite``) plus
+  per-product numpy hot windows, keyed by WAL sequence number.
+  Because the cold tier is durable, snapshots garbage-collect the WAL
+  segments they cover, so disk, memory, and recovery time stay
+  proportional to the suffix since the last snapshot -- never to total
+  history.
 """
 
 from __future__ import annotations
 
-import contextlib
 import threading
 import time
 from dataclasses import dataclass
@@ -68,11 +70,9 @@ from repro.trust.manager import TrustManager, TrustManagerConfig
 
 __all__ = ["RatingEngine", "SubmitResult"]
 
-# Durability contracts (checked by lint rules DP02/SD03): an accepted
-# rating reaches the WAL before any store mutation; a snapshot fsyncs
-# the WAL before writing and only GCs segments the written snapshot
-# covers; keys added in snapshot v2 must load with defaults so v1
-# snapshots on disk still recover.
+# Durability contracts (checked by lint rule DP02): an accepted rating
+# reaches the WAL before any store mutation; a snapshot fsyncs the WAL
+# before writing and only GCs segments the written snapshot covers.
 __effect_contracts__ = {
     "orderings": {
         "RatingEngine._ingest": [["wal_append", "store_add"]],
@@ -80,13 +80,6 @@ __effect_contracts__ = {
             ["wal_fsync", "snapshot_write"],
             ["snapshot_write", "wal_gc"],
         ],
-    },
-    "state_keys_since": {
-        "RatingEngine": {
-            "suspicion_totals": 2,
-            "n_trust_updates": 2,
-            "client_meta": 2,
-        },
     },
 }
 
@@ -117,7 +110,7 @@ class SubmitResult:
 
 @dataclass
 class _ScoreCacheEntry:
-    """Incremental per-product score aggregates (shard lock held).
+    """Incremental per-product score aggregates (engine lock held).
 
     Valid only while ``epoch`` matches the engine's trust-flush epoch:
     every trust update can move every rater's weight, so a flush
@@ -146,89 +139,8 @@ class _ScoreCacheEntry:
         return self.value_sum / self.n
 
 
-class _ReadWriteGate:
-    """Many concurrent ingests, one exclusive snapshotter."""
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer = False
-
-    @contextlib.contextmanager
-    def read(self):
-        with self._cond:
-            while self._writer:
-                self._cond.wait()
-            self._readers += 1
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._readers -= 1
-                if self._readers == 0:
-                    self._cond.notify_all()
-
-    @contextlib.contextmanager
-    def write(self):
-        with self._cond:
-            while self._writer:
-                self._cond.wait()
-            self._writer = True
-            while self._readers:
-                self._cond.wait()
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._writer = False
-                self._cond.notify_all()
-
-
-class _Shard:
-    """One lock domain: a slice of products and their streaming state."""
-
-    # Lint contract (CC03): all mutable shard state is owned by `lock`.
-    _GUARDED_BY = {
-        "store": "lock",
-        "sources": "lock",
-        "score_cache": "lock",
-        "last_time": "lock",
-        "pending_provided": "lock",
-        "since_flush": "lock",
-        "last_flush": "lock",
-        "n_accepted": "lock",
-        "n_rejected": "lock",
-        "n_evaluations": "lock",
-        "n_flagged": "lock",
-    }
-
-    def __init__(
-        self,
-        index: int,
-        config: ServiceConfig,
-        backend: Optional[RatingStoreBackend] = None,
-    ) -> None:
-        self.index = index
-        self.config = config
-        self.lock = threading.RLock()
-        self.store = RatingStore(backend=backend)
-        # The shard's own instances of the configured detector
-        # ensemble, in config order (= flush/combine order).
-        self.sources: Dict[str, OnlineSuspicionSource] = build_sources(config)
-        self.ar: Optional[ARSuspicionSource] = self.sources.get("ar")  # type: ignore[assignment]
-        self.score_cache: Dict[int, "_ScoreCacheEntry"] = {}
-        self.last_time: Dict[int, float] = {}
-        self.pending_provided: Dict[int, int] = {}
-        self.since_flush = 0
-        self.last_flush = time.monotonic()
-        self.n_accepted = 0
-        self.n_rejected = 0
-        self.n_evaluations = 0
-        self.n_flagged = 0
-
-
 class RatingEngine:
-    """Thread-safe sharded front end over the rating/trust pipeline.
+    """Thread-safe front end over the rating/trust pipeline.
 
     Args:
         config: service knobs (defaults to :class:`ServiceConfig`).
@@ -247,16 +159,33 @@ class RatingEngine:
             equals the engine's trust-update counter, which is
             deterministic under WAL replay, so the receiver can
             deduplicate redelivered digests after a crash.
+
+    Concurrency: ingest, flush, score reads, and the state capture of
+    :meth:`snapshot` serialize on one engine lock (``_lock``), taken
+    before ``_trust_lock``.  The WAL is appended under the engine lock,
+    so WAL order is apply order and a single-threaded replay
+    reproduces any interleaving of concurrent submits.  Trust reads
+    take only ``_trust_lock`` and never wait behind an ingest.
     """
 
-    # Lint contract (CC03): cross-shard state and its owning locks.
+    # Lint contract (CC03): mutable engine state and its owning locks.
     _GUARDED_BY = {
+        "_store": "_lock",
+        "_sources": "_lock",
+        "_score_cache": "_lock",
+        "_last_time": "_lock",
+        "_pending_provided": "_lock",
+        "_since_flush": "_lock",
+        "_last_flush": "_lock",
+        "_n_accepted": "_lock",
+        "_n_rejected": "_lock",
+        "_n_evaluations": "_lock",
+        "_n_flagged": "_lock",
         "trust_manager": "_trust_lock",
         "_n_trust_updates": "_trust_lock",
         "_trust_epoch": "_trust_lock",
         "_suspicion_totals": "_trust_lock",
         "_trust_mirror": "_trust_lock",
-        "_n_accepted": "_count_lock",
     }
 
     def __init__(
@@ -275,6 +204,7 @@ class RatingEngine:
                 forgetting_factor=self.config.trust_forgetting_factor,
             )
         )
+        self._lock = threading.RLock()
         self._trust_lock = threading.Lock()
         self._trust_delegate = trust_delegate
         # Cluster-worker mode: the last trust table the delegate
@@ -285,9 +215,6 @@ class RatingEngine:
         # processed through here, so redelivery after recovery can skip
         # entries the snapshot already covers.
         self.client_meta: Dict[str, int] = {}
-        self._gate = _ReadWriteGate()
-        self._count_lock = threading.Lock()
-        self._n_accepted = 0
         self._n_trust_updates = 0
         self._combine = COMBINERS[self.config.ensemble_combiner]
         self._source_weights = self.config.source_weights
@@ -298,16 +225,26 @@ class RatingEngine:
         # epochs were aggregated under stale trusts and are invalid.
         self._trust_epoch = 0
         self._started = time.monotonic()
-        # The tiered backend's sqlite files are durable only alongside
-        # a WAL directory; that combination is what licenses WAL
-        # segment GC (recovery reads the prefix from sqlite, not the log).
+        # The tiered backend's sqlite file is durable only alongside a
+        # WAL directory; that combination is what licenses WAL segment
+        # GC (recovery reads the prefix from sqlite, not the log).
         self._durable_store = (
             self.config.store_backend == "tiered" and self.config.wal_dir is not None
         )
-        self._shards = [
-            _Shard(i, self.config, backend=self._build_backend(i))
-            for i in range(self.config.n_shards)
-        ]
+        self._store = RatingStore(backend=self._build_backend())
+        # The configured detector ensemble, in config order (= flush/
+        # combine order).
+        self._sources: Dict[str, OnlineSuspicionSource] = build_sources(self.config)
+        self._ar: Optional[ARSuspicionSource] = self._sources.get("ar")  # type: ignore[assignment]
+        self._score_cache: Dict[int, _ScoreCacheEntry] = {}
+        self._last_time: Dict[int, float] = {}
+        self._pending_provided: Dict[int, int] = {}
+        self._since_flush = 0
+        self._last_flush = time.monotonic()
+        self._n_accepted = 0
+        self._n_rejected = 0
+        self._n_evaluations = 0
+        self._n_flagged = 0
         self._recovering = False
 
         m = self.metrics
@@ -344,24 +281,17 @@ class RatingEngine:
             "repro_wal_segments", "WAL segment files currently on disk."
         )
         self._m_store_hot = m.gauge(
-            "repro_store_hot_ratings",
-            "Ratings resident in the hot storage tier across shards.",
+            "repro_store_hot_ratings", "Ratings resident in the hot storage tier."
         )
         self._m_store_cold = m.gauge(
-            "repro_store_cold_ratings",
-            "Ratings committed to the cold storage tier across shards.",
+            "repro_store_cold_ratings", "Ratings committed to the cold storage tier."
         )
         self._m_active_products = m.gauge(
             "repro_active_products", "Products with streaming detector state."
         )
-        self._m_queue_depth = [
-            m.gauge(
-                "repro_shard_queue_depth",
-                "Ratings pending in a shard since its last trust flush.",
-                labels={"shard": str(i)},
-            )
-            for i in range(self.config.n_shards)
-        ]
+        self._m_queue_depth = m.gauge(
+            "repro_shard_queue_depth", "Ratings pending since the last trust flush."
+        )
         self._m_suspicion = {
             name: m.gauge(
                 "repro_ensemble_suspicion",
@@ -386,8 +316,7 @@ class RatingEngine:
             )
             for name in self.config.ensemble_sources
         }
-        for shard in self._shards:
-            self._wire_shard(shard)
+        self._wire_sources()
 
         self.wal: Optional[WriteAheadLog] = None
         if self.config.wal_dir is not None:
@@ -400,52 +329,43 @@ class RatingEngine:
             )
             self._m_wal_segments.set(self.wal.n_segments)
 
-    def _build_backend(self, index: int) -> RatingStoreBackend:
-        """One shard's rating-row storage engine, per the config."""
+    def _build_backend(self) -> RatingStoreBackend:
+        """The rating-row storage engine, per the config."""
         if self.config.store_backend != "tiered":
             return InMemoryBackend()
         path: Optional[Path] = None
         if self.config.wal_dir is not None:
-            path = Path(self.config.wal_dir) / "store" / f"shard-{index:03d}.sqlite"
+            path = Path(self.config.wal_dir) / "store" / "ratings.sqlite"
         return TieredRatingBackend(
             path=path, hot_window=self.config.resolved_hot_window
         )
 
-    def _wire_shard(self, shard: _Shard) -> None:
-        """Point a shard's sources at the engine's metrics/counters.
+    def _wire_sources(self) -> None:
+        """Point the sources at the engine's metrics/counters.
 
-        Callbacks run under the shard lock (observe/flush hold it), so
-        touching shard counters here is safe.
+        Callbacks run under the engine lock (observe/flush hold it),
+        so touching engine counters here is safe.
         """
-        for name, source in shard.sources.items():
+        for name, source in self._sources.items():
             source.on_eviction = self._m_evictions[name].inc
-        ar = shard.ar
+        ar = self._ar
         if ar is not None:
 
             def on_evaluation() -> None:
-                shard.n_evaluations += 1
+                self._n_evaluations += 1
                 self._m_refits.inc()
 
             def on_flag() -> None:
-                shard.n_flagged += 1
+                self._n_flagged += 1
                 self._m_flagged.inc()
 
             ar.on_evaluation = on_evaluation
             ar.on_flag = on_flag
             ar.on_new_product = self._m_active_products.inc
 
-    # -- routing -----------------------------------------------------------
-
-    def _shard_for(self, product_id: int) -> _Shard:
-        return self._shards[hash(product_id) % len(self._shards)]
-
-    @property
-    def n_shards(self) -> int:
-        return len(self._shards)
-
     @property
     def n_accepted(self) -> int:
-        with self._count_lock:
+        with self._lock:
             return self._n_accepted
 
     # -- ingest ------------------------------------------------------------
@@ -463,8 +383,7 @@ class RatingEngine:
         here.
         """
         start = time.perf_counter()
-        with self._gate.read():
-            result = self._ingest(rating, log=True, wal_meta=wal_meta)
+        result = self._ingest(rating, log=True, wal_meta=wal_meta)
         self._m_latency.observe(time.perf_counter() - start)
         if (
             result.accepted
@@ -487,11 +406,10 @@ class RatingEngine:
         seq: Optional[int] = None,
         wal_meta: Optional[dict] = None,
     ) -> SubmitResult:
-        shard = self._shard_for(rating.product_id)
-        with shard.lock:
-            last = shard.last_time.get(rating.product_id)
+        with self._lock:
+            last = self._last_time.get(rating.product_id)
             if last is not None and rating.time < last:
-                shard.n_rejected += 1
+                self._n_rejected += 1
                 self._m_rejected.inc()
                 return SubmitResult(
                     accepted=False,
@@ -502,32 +420,35 @@ class RatingEngine:
                 )
             if log and self.wal is not None:
                 seq = self.wal.append(rating, meta=wal_meta)
-            with self._count_lock:
-                if seq is None:
-                    seq = self._n_accepted
-            flagged = self._apply(shard, rating, seq)
-            with self._count_lock:
-                self._n_accepted += 1
+            if seq is None:
+                seq = self._n_accepted
+            flagged = self._apply(rating, seq)
+            self._n_accepted += 1
         self._m_accepted.inc()
         return SubmitResult(accepted=True, seq=seq, flagged=flagged)
 
-    def _apply(self, shard: _Shard, rating: Rating, seq: int) -> bool:
-        """Store + detect + tally one accepted rating (shard lock held).
+    def _add_to_store(self, rating: Rating, seq: Optional[int]) -> None:
+        """Register the rating's product/rater and store the row (lock held)."""
+        pid, rid = rating.product_id, rating.rater_id
+        if not self._store.has_product(pid):
+            self._store.add_product(Product(product_id=pid, quality=0.5))
+        if not self._store.has_rater(rid):
+            self._store.add_rater(
+                RaterProfile(rater_id=rid, rater_class=RaterClass.RELIABLE)
+            )
+        self._store.add_rating(rating, seq=seq)
+
+    def _apply(self, rating: Rating, seq: int) -> bool:
+        """Store + detect + tally one accepted rating (lock held).
 
         ``seq`` is the rating's global log position; a durable backend
         keys its cold-tier row by it, which is what makes recovery's
         suffix re-ingest idempotent.
         """
         pid, rid = rating.product_id, rating.rater_id
-        if not shard.store.has_product(pid):
-            shard.store.add_product(Product(product_id=pid, quality=0.5))
-        if not shard.store.has_rater(rid):
-            shard.store.add_rater(
-                RaterProfile(rater_id=rid, rater_class=RaterClass.RELIABLE)
-            )
-        shard.store.add_rating(rating, seq=seq)
+        self._add_to_store(rating, seq)
 
-        entry = shard.score_cache.get(pid)
+        entry = self._score_cache.get(pid)
         if entry is not None:
             # Trusts are constant within an epoch, so a current entry
             # absorbs the new rating at its rater's current weight and
@@ -543,17 +464,16 @@ class RatingEngine:
                 entry.weighted_value_sum += weight * rating.value
                 entry.value_sum += rating.value
             else:
-                del shard.score_cache[pid]
+                del self._score_cache[pid]
 
-        for source in shard.sources.values():
+        for source in self._sources.values():
             source.observe(rating)
-        shard.last_time[pid] = rating.time
-        flagged = shard.ar.last_flagged if shard.ar is not None else False
+        self._last_time[pid] = rating.time
+        flagged = self._ar.last_flagged if self._ar is not None else False
 
-        shard.pending_provided[rid] = shard.pending_provided.get(rid, 0) + 1
-        shard.since_flush += 1
-        shard.n_accepted += 1
-        self._m_queue_depth[shard.index].set(shard.since_flush)
+        self._pending_provided[rid] = self._pending_provided.get(rid, 0) + 1
+        self._since_flush += 1
+        self._m_queue_depth.set(self._since_flush)
 
         if self._recovering and self._trust_delegate is not None:
             # In delegate mode every flush leaves a control marker in
@@ -562,31 +482,29 @@ class RatingEngine:
             # flush at different positions than the original run and
             # desynchronize the digest seq numbering.
             return flagged
-        if shard.since_flush >= self.config.batch_max_ratings:
-            self._flush_shard(shard)
-        elif (
+        if self._since_flush >= self.config.batch_max_ratings or (
             self.config.batch_max_seconds is not None
-            and time.monotonic() - shard.last_flush >= self.config.batch_max_seconds
+            and time.monotonic() - self._last_flush >= self.config.batch_max_seconds
         ):
-            self._flush_shard(shard)
+            self._flush_locked()
         return flagged
 
     # -- trust flushing ------------------------------------------------------
 
-    def _flush_shard(self, shard: _Shard) -> None:
-        """Push a shard's pending tallies through Procedure 2 (lock held).
+    def _flush_locked(self) -> None:
+        """Push the pending tallies through Procedure 2 (lock held).
 
         Each source flushes its per-rater suspicion mass (timed into
         ``repro_ensemble_flush_seconds``); the configured combiner
         merges the masses; the merged mass plus the AR source's
         flagged-rating counts feed the trust update.
         """
-        if shard.since_flush == 0:
-            shard.last_flush = time.monotonic()
+        if self._since_flush == 0:
+            self._last_flush = time.monotonic()
             return
         per_source: Dict[str, Dict[int, float]] = {}
         flagged_counts: Dict[int, int] = {}
-        for name, source in shard.sources.items():
+        for name, source in self._sources.items():
             start = time.perf_counter()
             mass = source.flush()
             self._m_flush_latency[name].observe(time.perf_counter() - start)
@@ -612,7 +530,7 @@ class RatingEngine:
                 self._n_trust_updates += 1
                 digest = {
                     "seq": self._n_trust_updates,
-                    "provided": dict(shard.pending_provided),
+                    "provided": dict(self._pending_provided),
                     "suspicion": dict(combined),
                     "flagged": dict(flagged_counts),
                 }
@@ -632,7 +550,7 @@ class RatingEngine:
             # contents.
             if self.wal is not None:
                 if not self._recovering:
-                    self.wal.append_control({"flush": shard.index})
+                    self.wal.append_control({"flush": 0})
                 self.wal.sync()
             # The delegate call (an RPC in the cluster) runs outside
             # _trust_lock so trust reads stay available meanwhile.
@@ -641,7 +559,7 @@ class RatingEngine:
         else:
             with self._trust_lock:
                 observations = self.trust_manager.observations
-                for rater_id, count in shard.pending_provided.items():
+                for rater_id, count in self._pending_provided.items():
                     observations.record_provided(rater_id, count)
                 for rater_id, value in combined.items():
                     observations.record_suspicion_value(rater_id, value)
@@ -653,34 +571,31 @@ class RatingEngine:
                 self.trust_manager.update()
                 self._n_trust_updates += 1
                 self._trust_epoch += 1
-        shard.pending_provided = {}
-        shard.since_flush = 0
-        shard.last_flush = time.monotonic()
+        self._pending_provided = {}
+        self._since_flush = 0
+        self._last_flush = time.monotonic()
         self._m_trust_updates.inc()
-        self._m_queue_depth[shard.index].set(0)
-        for source in shard.sources.values():
+        self._m_queue_depth.set(0)
+        for source in self._sources.values():
             source.prune()
 
     def flush(self) -> None:
-        """Flush every shard's pending observations into the trust manager."""
-        for shard in self._shards:
-            with shard.lock:
-                self._flush_shard(shard)
+        """Flush the pending observations into the trust manager."""
+        with self._lock:
+            self._flush_locked()
 
     def _replay_control(self, meta: Optional[dict]) -> None:
         """Re-execute one WAL control row during recovery.
 
         The only control row today is the delegate-mode flush marker
-        ``{"flush": shard_index}``: replaying it flushes the named
-        shard at the marker's log position, regenerating the original
-        digest (same seq, same contents) for the coordinator to
-        deduplicate or apply.
+        ``{"flush": ...}``: replaying it flushes at the marker's log
+        position, regenerating the original digest (same seq, same
+        contents) for the coordinator to deduplicate or apply.
         """
         control = (meta or {}).get("control") or {}
         if "flush" in control:
-            shard = self._shards[int(control["flush"])]
-            with shard.lock:
-                self._flush_shard(shard)
+            with self._lock:
+                self._flush_locked()
 
     def install_trust_mirror(self, table: Dict[int, float]) -> None:
         """Install an authoritative trust table (cluster-worker mode).
@@ -721,20 +636,19 @@ class RatingEngine:
         Returns None for a registered product with no ratings; raises
         :class:`UnknownProductError` for a product never seen.
         """
-        shard = self._shard_for(product_id)
-        with shard.lock:
-            if not shard.store.has_product(product_id):
+        with self._lock:
+            if not self._store.has_product(product_id):
                 raise UnknownProductError(f"product {product_id} is not registered")
-            entry = shard.score_cache.get(product_id)
+            entry = self._score_cache.get(product_id)
             if entry is not None:
                 with self._trust_lock:
                     epoch = self._trust_epoch
                 if entry.epoch == epoch:
                     self._m_score_hits.inc()
                     return entry.score()
-                del shard.score_cache[product_id]
+                del self._score_cache[product_id]
             self._m_score_misses.inc()
-            ratings = list(shard.store.stream(product_id))
+            ratings = list(self._store.stream(product_id))
             if not ratings:
                 return None
             # Epoch and trusts must come from one _trust_lock hold so
@@ -754,7 +668,7 @@ class RatingEngine:
                 ),
                 value_sum=float(sum(values)),
             )
-            shard.score_cache[product_id] = entry
+            self._score_cache[product_id] = entry
             # Return the entry's own arithmetic, not the aggregator's:
             # within an epoch every read must yield the identical float,
             # whether it missed or hit.
@@ -762,11 +676,10 @@ class RatingEngine:
 
     def _score_uncached(self, product_id: int) -> Optional[float]:
         """The pre-cache score path (reference for tests and benches)."""
-        shard = self._shard_for(product_id)
-        with shard.lock:
-            if not shard.store.has_product(product_id):
+        with self._lock:
+            if not self._store.has_product(product_id):
                 raise UnknownProductError(f"product {product_id} is not registered")
-            ratings = list(shard.store.stream(product_id))
+            ratings = list(self._store.stream(product_id))
         if not ratings:
             return None
         with self._trust_lock:
@@ -809,64 +722,51 @@ class RatingEngine:
         """Configuration and counters of the detector ensemble."""
         thresholds = self.config.source_thresholds
         periods = self.config.source_periods
-        per_source = {}
-        for name in self.config.ensemble_sources:
-            evictions = 0
-            for shard in self._shards:
-                with shard.lock:
-                    evictions += shard.sources[name].n_evictions
-            per_source[name] = {
-                "weight": self._source_weights[name],
-                "threshold": thresholds[name],
-                "period": periods[name],
-                "n_evictions": evictions,
+        with self._lock:
+            evictions = {
+                name: source.n_evictions for name, source in self._sources.items()
             }
         return {
             "combiner": self.config.ensemble_combiner,
-            "sources": per_source,
+            "sources": {
+                name: {
+                    "weight": self._source_weights[name],
+                    "threshold": thresholds[name],
+                    "period": periods[name],
+                    "n_evictions": evictions[name],
+                }
+                for name in self.config.ensemble_sources
+            },
         }
 
     def has_product(self, product_id: int) -> bool:
-        """True when some shard has seen the product."""
-        shard = self._shard_for(product_id)
-        with shard.lock:
-            return shard.store.has_product(product_id)
+        """True when the engine has seen the product."""
+        with self._lock:
+            return self._store.has_product(product_id)
 
     def snapshot_stats(self) -> dict:
         """Point-in-time counters for dashboards and the replay report."""
-        per_shard = []
-        totals = {"evaluations": 0, "flagged": 0, "rejected": 0}
-        n_products = 0
-        for shard in self._shards:
-            with shard.lock:
-                per_shard.append(
-                    {
-                        "shard": shard.index,
-                        "n_ratings": shard.store.n_ratings,
-                        "n_products": len(shard.store.product_ids),
-                        "pending": shard.since_flush,
-                    }
-                )
-                totals["evaluations"] += shard.n_evaluations
-                totals["flagged"] += shard.n_flagged
-                totals["rejected"] += shard.n_rejected
-                n_products += len(shard.store.product_ids)
+        with self._lock:
+            accepted = self._n_accepted
+            counters = {
+                "n_rejected": self._n_rejected,
+                "n_products": len(self._store.product_ids),
+                "n_ratings": self._store.n_ratings,
+                "pending": self._since_flush,
+                "ar_evaluations": self._n_evaluations,
+                "windows_flagged": self._n_flagged,
+            }
         uptime = time.monotonic() - self._started
         with self._trust_lock:
             n_raters = len(self.trust_manager.rater_ids)
-        accepted = self.n_accepted
+            trust_updates = self._n_trust_updates
         return {
             "uptime_seconds": uptime,
             "n_accepted": accepted,
-            "n_rejected": totals["rejected"],
-            "n_products": n_products,
+            **counters,
             "n_raters": n_raters,
-            "n_shards": len(self._shards),
-            "ar_evaluations": totals["evaluations"],
-            "windows_flagged": totals["flagged"],
-            "trust_updates": self._n_trust_updates,
+            "trust_updates": trust_updates,
             "ratings_per_second": accepted / uptime if uptime > 0 else 0.0,
-            "shards": per_shard,
             "ensemble": self.ensemble_stats(),
             "wal_entries": self.wal.n_entries if self.wal is not None else None,
         }
@@ -874,29 +774,7 @@ class RatingEngine:
     # -- durability ----------------------------------------------------------
 
     def _state_dict(self) -> dict:
-        """Bounded engine state; callers must hold the write gate."""
-        shards_state = []
-        for shard in self._shards:
-            shards_state.append(
-                {
-                    "sources": {
-                        name: source.state_dict()
-                        for name, source in shard.sources.items()
-                    },
-                    "last_time": {
-                        str(pid): t for pid, t in shard.last_time.items()
-                    },
-                    "pending_provided": {
-                        str(k): v for k, v in shard.pending_provided.items()
-                    },
-                    "since_flush": shard.since_flush,
-                    "n_accepted": shard.n_accepted,
-                    "n_rejected": shard.n_rejected,
-                    "n_evaluations": shard.n_evaluations,
-                    "n_flagged": shard.n_flagged,
-                    "store_n_ratings": shard.store.n_ratings,
-                }
-            )
+        """Bounded engine state (lock held)."""
         with self._trust_lock:
             trust_state = {
                 str(rid): {
@@ -912,6 +790,7 @@ class RatingEngine:
             suspicion_state = {
                 str(rid): value for rid, value in self._suspicion_totals.items()
             }
+            n_trust_updates = self._n_trust_updates
         # With a WAL, the covered position is its true entry count --
         # delegate-mode flush markers occupy sequence numbers without
         # being accepted ratings, so the two counters can differ.
@@ -919,94 +798,66 @@ class RatingEngine:
             self.wal.n_entries if self.wal is not None else self._n_accepted
         )
         return {
-            "version": 2,
+            "version": 3,
             "config": self.config.to_dict(),
             "wal_position": wal_position,
             "n_accepted": self._n_accepted,
-            "n_trust_updates": self._n_trust_updates,
+            "n_rejected": self._n_rejected,
+            "n_evaluations": self._n_evaluations,
+            "n_flagged": self._n_flagged,
+            "n_trust_updates": n_trust_updates,
             "trust": trust_state,
             "suspicion_totals": suspicion_state,
             "client_meta": dict(self.client_meta),
-            "shards": shards_state,
-        }
-
-    @staticmethod
-    def _upgrade_shard_state(shard_state: dict) -> dict:
-        """Translate a version-1 shard snapshot to the version-2 layout.
-
-        Version-1 engines ran exactly the AR detector with its state
-        spread over the shard (``products``/``pending_suspicion``/
-        ``pending_suspicious``), so the upgrade is a pure reshaping
-        into one :class:`ARSuspicionSource` state plus the shard-level
-        ``last_time`` map.
-        """
-        products = {}
-        last_time = {}
-        for pid_str, product_state in shard_state["products"].items():
-            products[pid_str] = {
-                "detector": product_state["detector"],
-                "recent": product_state["recent"],
-                "charged": product_state["charged"],
-            }
-            last_time[pid_str] = product_state["last_time"]
-        return {
             "sources": {
-                "ar": {
-                    "products": products,
-                    "pending_mass": shard_state["pending_suspicion"],
-                    "pending_counts": shard_state["pending_suspicious"],
-                    "n_evaluations": shard_state["n_evaluations"],
-                    "n_flagged": shard_state["n_flagged"],
-                }
+                name: source.state_dict() for name, source in self._sources.items()
             },
-            "last_time": last_time,
-            "pending_provided": shard_state["pending_provided"],
-            "since_flush": shard_state["since_flush"],
-            "n_accepted": shard_state["n_accepted"],
-            "n_rejected": shard_state["n_rejected"],
-            "n_evaluations": shard_state["n_evaluations"],
-            "n_flagged": shard_state["n_flagged"],
-            "store_n_ratings": shard_state["store_n_ratings"],
+            "last_time": {str(pid): t for pid, t in self._last_time.items()},
+            "pending_provided": {
+                str(k): v for k, v in self._pending_provided.items()
+            },
+            "since_flush": self._since_flush,
+            "store_n_ratings": self._store.n_ratings,
         }
 
     def _load_state(self, state: dict) -> None:
-        """Install a snapshot's state (single-threaded recovery only)."""
-        shards_state = state["shards"]
-        if len(shards_state) != len(self._shards):
+        """Install a snapshot's state (single-threaded recovery only).
+
+        Only the current layout (version 3) loads: older snapshots
+        were written by the thread-sharded engine, whose per-shard
+        state has no single-partition equivalent.
+        """
+        version = state.get("version")
+        if version != 3:
             raise ConfigurationError(
-                f"snapshot has {len(shards_state)} shards, engine has "
-                f"{len(self._shards)}"
+                f"snapshot version {version} is not supported (this engine "
+                f"reads version 3); recover it with the release that wrote "
+                f"it, or start from an empty WAL directory"
             )
-        version = int(state.get("version", 1))
-        for shard, shard_state in zip(self._shards, shards_state):
-            if version < 2:
-                shard_state = self._upgrade_shard_state(shard_state)
-            if shard.store.n_ratings != shard_state["store_n_ratings"]:
-                raise ConfigurationError(
-                    f"shard {shard.index}: WAL prefix rebuilt "
-                    f"{shard.store.n_ratings} ratings but the snapshot "
-                    f"recorded {shard_state['store_n_ratings']}"
-                )
-            saved_sources = shard_state["sources"]
-            if set(saved_sources) != set(shard.sources):
-                raise ConfigurationError(
-                    f"shard {shard.index}: snapshot has ensemble sources "
-                    f"{sorted(saved_sources)} but the config enables "
-                    f"{sorted(shard.sources)}"
-                )
-            for name, source in shard.sources.items():
-                source.load_state(saved_sources[name])
-            shard.last_time = {
-                int(pid): float(t) for pid, t in shard_state["last_time"].items()
-            }
-            shard.pending_provided = {
-                int(k): int(v) for k, v in shard_state["pending_provided"].items()
-            }
-            shard.since_flush = int(shard_state["since_flush"])
-            shard.n_accepted = int(shard_state["n_accepted"])
-            shard.n_rejected = int(shard_state["n_rejected"])
-            shard.n_evaluations = int(shard_state["n_evaluations"])
-            shard.n_flagged = int(shard_state["n_flagged"])
+        if self._store.n_ratings != state["store_n_ratings"]:
+            raise ConfigurationError(
+                f"WAL prefix rebuilt {self._store.n_ratings} ratings but the "
+                f"snapshot recorded {state['store_n_ratings']}"
+            )
+        saved_sources = state["sources"]
+        if set(saved_sources) != set(self._sources):
+            raise ConfigurationError(
+                f"snapshot has ensemble sources {sorted(saved_sources)} but "
+                f"the config enables {sorted(self._sources)}"
+            )
+        for name, source in self._sources.items():
+            source.load_state(saved_sources[name])
+        self._last_time = {
+            int(pid): float(t) for pid, t in state["last_time"].items()
+        }
+        self._pending_provided = {
+            int(k): int(v) for k, v in state["pending_provided"].items()
+        }
+        self._since_flush = int(state["since_flush"])
+        self._n_accepted = int(state["n_accepted"])
+        self._n_rejected = int(state["n_rejected"])
+        self._n_evaluations = int(state["n_evaluations"])
+        self._n_flagged = int(state["n_flagged"])
         with self._trust_lock:
             for rid_str, record_state in state["trust"].items():
                 record = self.trust_manager.register_rater(int(rid_str))
@@ -1014,59 +865,41 @@ class RatingEngine:
                 record.failures = float(record_state["failures"])
                 record.history = [float(v) for v in record_state["history"]]
             self._suspicion_totals = {
-                int(k): float(v)
-                for k, v in state.get("suspicion_totals", {}).items()
+                int(k): float(v) for k, v in state["suspicion_totals"].items()
             }
-        self._n_trust_updates = int(state.get("n_trust_updates", 0))
+            self._n_trust_updates = int(state["n_trust_updates"])
         self.client_meta = {
-            str(k): int(v) for k, v in state.get("client_meta", {}).items()
+            str(k): int(v) for k, v in state["client_meta"].items()
         }
-        with self._count_lock:
-            # Older snapshots predate control rows, where the WAL
-            # position and the accepted count were the same number.
-            self._n_accepted = int(
-                state.get("n_accepted", state["wal_position"])
-            )
-
-    def _restore_rating(self, rating: Rating, seq: Optional[int] = None) -> None:
-        """Re-insert a pre-snapshot WAL rating into the store only
-        (single-threaded recovery)."""
-        shard = self._shard_for(rating.product_id)
-        if not shard.store.has_product(rating.product_id):
-            shard.store.add_product(Product(product_id=rating.product_id, quality=0.5))
-        if not shard.store.has_rater(rating.rater_id):
-            shard.store.add_rater(
-                RaterProfile(rater_id=rating.rater_id, rater_class=RaterClass.RELIABLE)
-            )
-        shard.store.add_rating(rating, seq=seq)
 
     def snapshot(self) -> Path:
         """Persist engine state atomically; returns the snapshot path.
 
-        Blocks new submits for the duration (exclusive gate), so the
-        snapshot covers a clean WAL prefix.  The order inside the gate
-        is the durability contract: WAL synced, then every shard's
-        cold tier committed, then the snapshot written -- only *then*
-        may the garbage collector reclaim the WAL segments and older
-        snapshots the new snapshot supersedes (``wal_gc``).  Segment
-        deletion additionally requires the durable tiered backend;
-        with the memory backend recovery replays the whole log, so
-        only superseded snapshots are pruned.
+        The state (and, with the tiered backend, the cold tier's
+        commit) is captured under the engine lock, so the snapshot
+        covers exactly the WAL prefix applied at that instant; ingest
+        resumes while the file is written.  The order after the
+        capture is the durability contract: WAL synced (through at
+        least the captured position), then the snapshot written --
+        only *then* may the garbage collector reclaim the WAL segments
+        and older snapshots the new snapshot supersedes (``wal_gc``).
+        Segment deletion additionally requires the durable tiered
+        backend; with the memory backend recovery replays the whole
+        log, so only superseded snapshots are pruned.
         """
         if self.config.wal_dir is None:
             raise ConfigurationError("snapshots need a configured wal_dir")
-        with self._gate.write():
-            if self.wal is not None:
-                self.wal.sync()
-            for shard in self._shards:
-                shard.store.commit()
+        with self._lock:
+            self._store.commit()
             state = self._state_dict()
-            path = write_snapshot(self.config.wal_dir, state)
-            if self.config.wal_gc:
-                if self._durable_store and self.wal is not None:
-                    self.wal.gc(int(state["wal_position"]))
-                prune_snapshots(self.config.wal_dir, keep=1)
-            return path
+        if self.wal is not None:
+            self.wal.sync()
+        path = write_snapshot(self.config.wal_dir, state)
+        if self.config.wal_gc:
+            if self._durable_store and self.wal is not None:
+                self.wal.gc(int(state["wal_position"]))
+            prune_snapshots(self.config.wal_dir, keep=1)
+        return path
 
     @classmethod
     def recover(
@@ -1084,15 +917,14 @@ class RatingEngine:
         uninterrupted run.  How the covered *prefix* comes back
         depends on the backend:
 
-        * **tiered** -- the prefix already sits in the per-shard
-          sqlite cold tiers.  Recovery rolls each cold tier back to
-          exactly the snapshot position (dropping rows a crash may
-          have committed past it; the replay re-inserts them under
-          the same sequence numbers), adopts the product/rater
-          registrations recorded there, and never reads pre-snapshot
-          WAL segments -- which is why recovery time is proportional
-          to the suffix, and why those segments can be
-          garbage-collected at all.
+        * **tiered** -- the prefix already sits in the sqlite cold
+          tier.  Recovery rolls it back to exactly the snapshot
+          position (dropping rows a crash may have committed past it;
+          the replay re-inserts them under the same sequence numbers),
+          adopts the product/rater registrations recorded there, and
+          never reads pre-snapshot WAL segments -- which is why
+          recovery time is proportional to the suffix, and why those
+          segments can be garbage-collected at all.
         * **memory** -- the whole WAL is replayed (prefix into the
           store, suffix through ingest), so the full log must still
           exist; recovering a GC'd log with the memory backend fails
@@ -1144,35 +976,22 @@ class RatingEngine:
                     f"latest snapshot covers only {position}; the log was "
                     f"garbage-collected past the snapshot"
                 )
+            suffix: Iterable[tuple]
             if engine._durable_store:
-                # Prefix comes from the cold tiers; roll them back to
-                # the snapshot position and adopt the registrations.
-                for shard in engine._shards:
-                    with shard.lock:
-                        backend = shard.store.backend
-                        backend.truncate_from(position)
-                        for pid in backend.product_ids():
-                            if not shard.store.has_product(pid):
-                                shard.store.add_product(
-                                    Product(product_id=pid, quality=0.5)
-                                )
-                        for rid in backend.rater_ids():
-                            if not shard.store.has_rater(rid):
-                                shard.store.add_rater(
-                                    RaterProfile(
-                                        rater_id=rid,
-                                        rater_class=RaterClass.RELIABLE,
-                                    )
-                                )
-                if state is not None:
-                    engine._load_state(state)
-                for seq, rating, meta in replay_wal_meta(
-                    engine.wal.directory, start=position
-                ):
-                    if rating is None:
-                        engine._replay_control(meta)
-                    else:
-                        engine._ingest(rating, log=False, seq=seq)
+                # Prefix comes from the cold tier; roll it back to the
+                # snapshot position and adopt the registrations.
+                store = engine._store
+                store.backend.truncate_from(position)
+                for pid in store.backend.product_ids():
+                    if not store.has_product(pid):
+                        store.add_product(Product(product_id=pid, quality=0.5))
+                for rid in store.backend.rater_ids():
+                    if not store.has_rater(rid):
+                        store.add_rater(
+                            RaterProfile(rater_id=rid, rater_class=RaterClass.RELIABLE)
+                        )
+                # Lazy: the suffix is read only after _load_state below.
+                suffix = replay_wal_meta(engine.wal.directory, start=position)
             else:
                 if first_seq > 0:
                     raise ConfigurationError(
@@ -1180,25 +999,23 @@ class RatingEngine:
                         f"the memory backend needs the full log to recover "
                         f"(use store_backend='tiered' or wal_gc=False)"
                     )
-                suffix: List[tuple] = []
+                tail: List[tuple] = []
                 for seq, rating, meta in replay_wal_meta(engine.wal.directory):
-                    if rating is None:
+                    if seq >= position:
+                        tail.append((seq, rating, meta))
+                    elif rating is not None:
                         # Prefix control rows record flushes the
                         # snapshot state already covers; only suffix
                         # ones are re-executed.
-                        if seq >= position:
-                            suffix.append((seq, None, meta))
-                    elif seq < position:
-                        engine._restore_rating(rating, seq)
-                    else:
-                        suffix.append((seq, rating, meta))
-                if state is not None:
-                    engine._load_state(state)
-                for seq, rating, meta in suffix:
-                    if rating is None:
-                        engine._replay_control(meta)
-                    else:
-                        engine._ingest(rating, log=False, seq=seq)
+                        engine._add_to_store(rating, seq)
+                suffix = tail
+            if state is not None:
+                engine._load_state(state)
+            for seq, rating, meta in suffix:
+                if rating is None:
+                    engine._replay_control(meta)
+                else:
+                    engine._ingest(rating, log=False, seq=seq)
         finally:
             engine._recovering = False
         return engine
@@ -1209,18 +1026,10 @@ class RatingEngine:
         Also refreshes the ``repro_store_hot_ratings`` /
         ``repro_store_cold_ratings`` / ``repro_wal_segments`` gauges.
         """
-        per_shard = []
-        hot = cold = pending = 0
-        for shard in self._shards:
-            with shard.lock:
-                stats = shard.store.backend.stats()
-            stats = {"shard": shard.index, **stats}
-            hot += int(stats.get("hot_ratings", 0))
-            cold += int(stats.get("cold_ratings", 0))
-            pending += int(stats.get("pending_ratings", 0))
-            per_shard.append(stats)
-        self._m_store_hot.set(hot)
-        self._m_store_cold.set(cold)
+        with self._lock:
+            stats = self._store.backend.stats()
+        self._m_store_hot.set(int(stats.get("hot_ratings", 0)))
+        self._m_store_cold.set(int(stats.get("cold_ratings", 0)))
         wal_info = None
         if self.wal is not None:
             segments = self.wal.segments()
@@ -1238,20 +1047,12 @@ class RatingEngine:
                 "n_snapshots": len(list_snapshots(self.wal.directory)),
                 "gc_enabled": bool(self.config.wal_gc),
             }
-        return {
-            "backend": self.config.store_backend,
-            "hot_ratings": hot,
-            "cold_ratings": cold,
-            "pending_ratings": pending,
-            "shards": per_shard,
-            "wal": wal_info,
-        }
+        return {**stats, "backend": self.config.store_backend, "wal": wal_info}
 
     def close(self) -> None:
         """Flush pending observations, then release storage and the WAL."""
         self.flush()
-        for shard in self._shards:
-            with shard.lock:
-                shard.store.close()
+        with self._lock:
+            self._store.close()
         if self.wal is not None:
             self.wal.close()

@@ -9,7 +9,7 @@ Public surface:
   graph), :class:`IterativeFilterSource` (online iterative filtering).
 * :func:`build_sources` -- instantiate the sources a
   :class:`~repro.service.config.ServiceConfig` enables; the engine
-  calls this once per shard.
+  calls this once at construction.
 * The combiners (:func:`combine_weighted_mean`, :func:`combine_max`,
   :data:`COMBINERS`) that merge per-source suspicion masses.
 """

@@ -2,7 +2,7 @@
 
 Wraps one :class:`~repro.detectors.online.OnlineARDetector` per active
 product plus the charge-once-per-position accounting that used to live
-inside the engine shard: each suspicious window verdict charges every
+inside the engine: each suspicious window verdict charges every
 not-yet-charged position of the detector's current window with the
 constant ``scale`` level, so the mass returned by :meth:`flush` equals
 :meth:`OnlineARDetector.suspicious_raters` for an identical stream --

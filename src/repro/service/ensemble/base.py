@@ -24,7 +24,7 @@ the small protocol that makes serve-time detection pluggable:
 
 Sources are registered by name in
 :data:`repro.service.ensemble.SOURCE_NAMES`; the engine instantiates
-them per shard from :class:`~repro.service.config.ServiceConfig`.
+them from :class:`~repro.service.config.ServiceConfig`.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ class OnlineSuspicionSource(abc.ABC):
 
     @abc.abstractmethod
     def observe(self, rating: Rating) -> None:
-        """Feed one accepted rating (engine hot path, shard lock held)."""
+        """Feed one accepted rating (engine hot path, engine lock held)."""
 
     @abc.abstractmethod
     def flush(self) -> Dict[int, float]:

@@ -18,7 +18,7 @@ Everything is bounded so the hot path stays O(1)-ish:
 * each arrival co-rates against at most ``co_fanout`` of the product's
   most recent raters;
 * the edge set is capped at ``max_edges`` (weakest edges dropped at
-  scoring time);
+  scoring time, in one bucketed pass rather than a full sort);
 * component scoring runs only every ``score_every`` flushes.
 
 Plain dicts and union-find only -- the serving tier takes no graph
@@ -228,15 +228,29 @@ class CoRatingGraphSource(OnlineSuspicionSource):
         return mass
 
     def _trim_edges(self) -> None:
-        """Evict the weakest edges once over the cap (deterministic)."""
+        """Evict the weakest edges once over the cap (deterministic).
+
+        Evicts exactly the first ``overflow`` edges in ``(co_count,
+        edge)`` order, in one pass: edges are bucketed by co-count,
+        whole buckets go from the weakest up, and only the bucket the
+        cut falls in is sorted.
+        """
         overflow = len(self._edges) - self.max_edges
         if overflow <= 0:
             return
-        ranked = sorted(
-            self._edges.items(), key=lambda item: (item[1][0], item[0])
-        )
-        for edge, _ in ranked[:overflow]:
-            del self._edges[edge]
+        buckets: Dict[int, List[Edge]] = {}
+        for edge, weights in self._edges.items():
+            buckets.setdefault(weights[0], []).append(edge)
+        remaining = overflow
+        for co_count in sorted(buckets):
+            bucket = buckets[co_count]
+            if len(bucket) > remaining:
+                bucket = sorted(bucket)[:remaining]
+            for edge in bucket:
+                del self._edges[edge]
+            remaining -= len(bucket)
+            if remaining == 0:
+                break
         self._record_evictions(overflow)
 
     # -- persistence -------------------------------------------------------

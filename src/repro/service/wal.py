@@ -23,9 +23,7 @@ provide that:
   ``os.replace`` followed by a **directory fsync**, so a power loss
   after the rename cannot silently lose the file.  A snapshot records
   the WAL position it covers, so recovery only has to *re-process*
-  the WAL suffix.  Snapshot version 2 added the ensemble state;
-  version-1 snapshots (single AR detector) are upgraded transparently
-  on load.
+  the WAL suffix.
 
 Crash tolerance at the byte level:
 
@@ -47,9 +45,6 @@ File layout inside a WAL directory::
     wal.lock                    exclusive-owner lockfile
     snapshot-000000000420.json  state through the first 420 WAL entries
     store/                      cold tier of the tiered rating backend
-
-A legacy single-file ``wal.jsonl`` is adopted as the first segment
-the next time a :class:`WriteAheadLog` opens the directory.
 
 Recovery (:meth:`repro.service.engine.RatingEngine.recover`) loads the
 highest-numbered snapshot and replays the WAL from its position.
@@ -88,7 +83,6 @@ __all__ = [
     "prune_snapshots",
     "list_segments",
     "wal_exists",
-    "WAL_FILENAME",
     "WAL_LOCK_FILENAME",
 ]
 
@@ -109,8 +103,6 @@ logger = logging.getLogger(__name__)
 
 PathLike = Union[str, Path]
 
-#: Legacy single-file log name (pre-segment layouts; auto-migrated).
-WAL_FILENAME = "wal.jsonl"
 WAL_LOCK_FILENAME = "wal.lock"
 _SEGMENT_RE = re.compile(r"^wal-(\d{12})\.jsonl$")
 _SNAPSHOT_RE = re.compile(r"^snapshot-(\d{12})\.json$")
@@ -157,20 +149,8 @@ def _segment_path(directory: Path, start: int) -> Path:
     return directory / f"wal-{start:012d}.jsonl"
 
 
-def _resolve_directory(path: PathLike) -> Path:
-    """Accept a WAL directory, or a legacy ``.../wal.jsonl`` file path."""
-    path = Path(path)
-    if path.name == WAL_FILENAME:
-        return path.parent
-    return path
-
-
 def list_segments(directory: PathLike) -> List[Tuple[int, Path]]:
-    """``(first_seq, path)`` per segment, oldest first.
-
-    A legacy single-file ``wal.jsonl`` (not yet adopted by a
-    :class:`WriteAheadLog`) is reported as a segment starting at 0.
-    """
+    """``(first_seq, path)`` per segment, oldest first."""
     directory = Path(directory)
     if not directory.is_dir():
         return []
@@ -179,15 +159,11 @@ def list_segments(directory: PathLike) -> List[Tuple[int, Path]]:
         match = _SEGMENT_RE.match(entry.name)
         if match:
             found.append((int(match.group(1)), entry))
-    if not found:
-        legacy = directory / WAL_FILENAME
-        if legacy.exists():
-            found.append((0, legacy))
     return sorted(found)
 
 
 def wal_exists(directory: PathLike) -> bool:
-    """True when a directory holds WAL segments, a legacy log, or snapshots."""
+    """True when a directory holds WAL segments or snapshots."""
     directory = Path(directory)
     if not directory.is_dir():
         return False
@@ -234,10 +210,7 @@ class WriteAheadLog:
     """Append-only segmented JSONL log of accepted ratings.
 
     Args:
-        path: the WAL directory; created (with parents) if absent.  A
-            legacy ``.../wal.jsonl`` file path is accepted and resolves
-            to its parent directory (the file itself is adopted as the
-            first segment).
+        path: the WAL directory; created (with parents) if absent.
         fsync_every: ``os.fsync`` after every N appends (1 = maximum
             durability, larger values trade a bounded tail of possibly
             lost ratings for throughput).
@@ -282,7 +255,7 @@ class WriteAheadLog:
             raise ConfigurationError(
                 f"segment_entries must be >= 1, got {segment_entries}"
             )
-        self._directory = _resolve_directory(path)
+        self._directory = Path(path)
         self._directory.mkdir(parents=True, exist_ok=True)
         self.fsync_every = int(fsync_every)
         self.segment_entries = int(segment_entries)
@@ -292,7 +265,6 @@ class WriteAheadLog:
         self._lock_fd = self._acquire_lockfile()
         try:
             self._cleanup_stale_tmp()
-            self._migrate_legacy()
             self._open_segments()
         except Exception:
             self._release_lockfile()
@@ -334,24 +306,6 @@ class WriteAheadLog:
             # Make the removals durable: without a directory fsync a
             # power failure can resurrect the half-written temp files.
             _fsync_dir(self._directory)
-
-    def _migrate_legacy(self) -> None:
-        """Adopt a pre-segment ``wal.jsonl`` as the first segment."""
-        legacy = self._directory / WAL_FILENAME
-        if not legacy.exists():
-            return
-        segments = [
-            (start, path)
-            for start, path in list_segments(self._directory)
-            if path.name != WAL_FILENAME
-        ]
-        if segments:
-            raise ConfigurationError(
-                f"{self._directory} holds both a legacy {WAL_FILENAME} and "
-                f"numbered segments; remove one before opening"
-            )
-        os.replace(legacy, _segment_path(self._directory, 0))
-        _fsync_dir(self._directory)
 
     def _open_segments(self) -> None:
         """Index segments, repair the newest one's tail, open for append.
@@ -572,9 +526,8 @@ class WriteAheadLog:
 def replay_wal(path: PathLike, start: int = 0) -> Iterator[Tuple[int, Rating]]:
     """Stream ``(seq, rating)`` pairs from a WAL (empty if absent).
 
-    ``path`` may be a WAL directory (segments and/or a legacy
-    ``wal.jsonl``) or a single log file.  Segments that end at or
-    before ``start`` are skipped without being read, so replay cost is
+    ``path`` is a WAL directory.  Segments that end at or before
+    ``start`` are skipped without being read, so replay cost is
     proportional to the suffix requested, not total history.
 
     Exactly one torn trailing record -- a crash mid-append -- is
@@ -610,14 +563,7 @@ def replay_wal_meta(
     if start < 0:
         raise ConfigurationError(f"replay start must be >= 0, got {start}")
     path = Path(path)
-    if path.name == WAL_FILENAME:
-        # A legacy ``.../wal.jsonl`` path keeps working after the file
-        # was adopted as segment 0: read the owning directory instead.
-        path = path.parent
-    if path.is_file():
-        segments: List[Tuple[int, Path]] = [(0, path)]
-    else:
-        segments = list_segments(path)
+    segments = list_segments(path)
     if not segments:
         return
     if start < segments[0][0]:

@@ -55,12 +55,14 @@ class TestParser:
     def test_serve_arguments(self):
         parser = cli.build_parser()
         args = parser.parse_args(
-            ["serve", "--port", "9999", "--shards", "8", "--wal-dir", "/tmp/w"]
+            ["serve", "--port", "9999", "--workers", "2", "--wal-dir", "/tmp/w"]
         )
         assert args.command == "serve"
         assert args.port == 9999
-        assert args.shards == 8
+        assert args.workers == 2
         assert args.wal_dir == "/tmp/w"
+        with pytest.raises(SystemExit):  # processes are the only shards
+            parser.parse_args(["serve", "--shards", "4"])
 
     def test_replay_arguments(self):
         parser = cli.build_parser()
@@ -79,7 +81,7 @@ class TestReplay:
 
     def test_replay_reports_throughput(self, trace_csv, capsys):
         code = cli.main(
-            ["replay", str(trace_csv), "--shards", "2", "--batch", "16",
+            ["replay", str(trace_csv), "--batch", "16",
              "--window", "12", "--stride", "3"]
         )
         assert code == 0

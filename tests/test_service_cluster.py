@@ -118,7 +118,7 @@ class TestClusterConfig:
             ServiceConfig(cluster_workers=2)
 
     def test_worker_config_derivation(self, tmp_path):
-        config = cluster_config(tmp_path, workers=3, n_shards=4)
+        config = cluster_config(tmp_path, workers=3)
         worker = config.worker_config(1)
         assert worker.n_shards == 1
         assert worker.cluster_workers == 0
@@ -154,11 +154,10 @@ class TestClusterEquivalence:
     def test_single_worker_matches_in_process_engine(self, tmp_path):
         """The cluster is the engine, sharded: with one worker the whole
         pipeline (route, WAL, queue, digest, redelivery machinery) must
-        produce bit-for-bit the in-process single-shard state."""
+        produce bit-for-bit the state of a default in-process engine."""
         stream = make_stream()
         reference = RatingEngine(
             config=ServiceConfig(
-                n_shards=1,
                 batch_max_ratings=25,
                 detector_window=16,
                 detector_stride=8,
@@ -198,11 +197,7 @@ class TestClusterEquivalence:
         try:
             assert reopened.n_accepted == len(stream)
             stats = reopened.snapshot_stats()
-            stored = sum(
-                shard["n_ratings"]
-                for worker in stats["workers"]
-                for shard in worker["shards"]
-            )
+            stored = sum(worker["n_ratings"] for worker in stats["workers"])
             rejected = sum(w["n_rejected"] for w in stats["workers"])
             assert stored + rejected == len(stream)
             assert rejected == 0  # monotone-time stream
@@ -410,11 +405,7 @@ def test_serve_sigterm_drains_cluster(tmp_path):
     try:
         assert reopened.n_accepted == accepted
         stats = reopened.snapshot_stats()
-        stored = sum(
-            shard["n_ratings"]
-            for worker in stats["workers"]
-            for shard in worker["shards"]
-        )
+        stored = sum(worker["n_ratings"] for worker in stats["workers"])
         assert stored + sum(w["n_rejected"] for w in stats["workers"]) == accepted
     finally:
         reopened.close()

@@ -1,4 +1,4 @@
-"""Tests for the sharded streaming rating engine."""
+"""Tests for the streaming rating engine."""
 
 from __future__ import annotations
 
@@ -14,12 +14,11 @@ from repro.ratings.models import Rating
 from repro.service import RatingEngine, ServiceConfig
 
 BASE = dict(
-    n_shards=2,
     batch_max_ratings=8,
     detector_window=12,
     detector_order=2,
     detector_stride=3,
-    detector_threshold=0.2,
+    ensemble_thresholds=(0.2,),
 )
 
 
@@ -43,8 +42,11 @@ def make_stream(n, n_products=3, n_raters=10, seed=0, noise=0.08):
 
 class TestConfig:
     def test_invalid_shards(self):
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(n_shards=0)
+        # One partition per engine; processes are the only sharding.
+        for n_shards in (0, 2, 4):
+            with pytest.raises(ConfigurationError, match="cluster_workers"):
+                ServiceConfig(n_shards=n_shards)
+        assert ServiceConfig(n_shards=1) == ServiceConfig()
 
     def test_invalid_batch(self):
         with pytest.raises(ConfigurationError):
@@ -55,7 +57,7 @@ class TestConfig:
             ServiceConfig(detector_window=4, detector_order=4)
 
     def test_roundtrip(self):
-        config = ServiceConfig(n_shards=7, detector_stride=2, wal_dir="/tmp/x")
+        config = ServiceConfig(detector_stride=2, wal_dir="/tmp/x")
         assert ServiceConfig.from_dict(config.to_dict()) == config
 
     def test_from_dict_ignores_unknown_keys(self):
@@ -130,17 +132,16 @@ class TestQueries:
             "windows_flagged",
             "trust_updates",
             "ratings_per_second",
-            "shards",
+            "n_ratings",
         ):
             assert key in stats
         assert stats["n_accepted"] == 40
-        assert len(stats["shards"]) == 2
-        assert sum(s["n_ratings"] for s in stats["shards"]) == 40
+        assert stats["n_ratings"] == 40
 
 
 class TestBatching:
     def test_count_flush_cadence(self):
-        # One product -> one shard; a flush every batch_max_ratings.
+        # A flush every batch_max_ratings.
         engine = RatingEngine(ServiceConfig(**{**BASE, "batch_max_ratings": 10}))
         engine.submit_many(make_stream(35, n_products=1))
         assert engine.snapshot_stats()["trust_updates"] == 3
@@ -167,21 +168,19 @@ class TestSuspicionEquivalence:
     def test_matches_online_detector_accounting(self):
         """Engine charging == OnlineARDetector.suspicious_raters.
 
-        Single shard, single product, no intermediate trust flushes:
+        Single product, no intermediate trust flushes:
         after the final flush each rater's failure evidence must be
         ``b * C_i`` with ``C_i`` the detector's own accumulated
         suspicion for an identical stream.
         """
         stream = make_stream(150, n_products=1, noise=0.05, seed=3)
-        config = ServiceConfig(
-            **{**BASE, "n_shards": 1, "batch_max_ratings": 10_000}
-        )
+        config = ServiceConfig(**{**BASE, "batch_max_ratings": 10_000})
         engine = RatingEngine(config)
         engine.submit_many(stream)
 
         reference = OnlineARDetector(
             order=config.detector_order,
-            threshold=config.detector_threshold,
+            threshold=config.source_thresholds["ar"],
             window_size=config.detector_window,
             stride=config.detector_stride,
             method=config.detector_method,
@@ -204,24 +203,9 @@ class TestSuspicionEquivalence:
 
 
 class TestSharding:
-    def test_shard_count_invariance(self):
-        """Trust and scores don't depend on the shard layout."""
-        stream = make_stream(200, n_products=6)
-        tables, scores = [], []
-        for n_shards in (1, 4):
-            engine = RatingEngine(ServiceConfig(**{**BASE, "n_shards": n_shards}))
-            engine.submit_many(stream)
-            engine.flush()
-            tables.append(engine.trust_table())
-            scores.append([engine.score(p) for p in range(6)])
-        assert tables[0].keys() == tables[1].keys()
-        for rater_id in tables[0]:
-            assert tables[0][rater_id] == pytest.approx(tables[1][rater_id])
-        assert scores[0] == pytest.approx(scores[1])
-
     def test_concurrent_submissions(self):
         """Parallel writers over disjoint products never corrupt state."""
-        engine = RatingEngine(ServiceConfig(**{**BASE, "n_shards": 4}))
+        engine = RatingEngine(ServiceConfig(**BASE))
         n_threads, per_thread = 4, 100
         errors = []
 

@@ -2,8 +2,7 @@
 
 Covers the source protocol and combiners, the two new sources
 (co-rating graph, iterative filtering), bounded-memory eviction, the
-per-source threshold config (with the deprecated
-``detector_threshold`` alias), engine integration, and -- the
+per-source threshold config, engine integration, and -- the
 durability contract -- bit-for-bit crash recovery of ensemble state
 under the 8-thread race pattern.
 """
@@ -15,11 +14,14 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.detectors.online import OnlineARDetector
 from repro.errors import ConfigurationError
 from repro.ratings.models import Rating
 from repro.service import RatingEngine, ServiceConfig
+from repro.service.wal import write_snapshot
 from repro.service.ensemble import (
     COMBINERS,
     ARSuspicionSource,
@@ -106,8 +108,9 @@ class TestProtocolAndCombiners:
 
 
 class TestConfigThresholds:
-    def test_detector_threshold_is_deprecated_alias_for_ar(self):
-        config = ServiceConfig(detector_threshold=0.3)
+    def test_ar_threshold_default_and_override(self):
+        assert ServiceConfig().source_thresholds == {"ar": 0.10}
+        config = ServiceConfig(ensemble_thresholds=(0.3,))
         assert config.source_thresholds == {"ar": 0.3}
 
     def test_per_source_thresholds_override(self):
@@ -122,14 +125,10 @@ class TestConfigThresholds:
 
     def test_pre_ensemble_config_dict_still_loads(self):
         # A dict written before the ensemble existed: no ensemble_* keys.
-        old = {
-            "n_shards": 2,
-            "batch_max_ratings": 8,
-            "detector_threshold": 0.2,
-        }
+        old = {"n_shards": 1, "batch_max_ratings": 8, "detector_window": 20}
         config = ServiceConfig.from_dict(old)
         assert config.ensemble_sources == ("ar",)
-        assert config.source_thresholds == {"ar": 0.2}
+        assert config.source_thresholds == {"ar": 0.10}
 
     def test_from_dict_coerces_json_lists(self):
         config = ServiceConfig(
@@ -193,7 +192,6 @@ class TestBoundedMemory:
 
     def test_engine_eviction_metric(self):
         config = ServiceConfig(
-            n_shards=1,
             batch_max_ratings=1000,
             detector_window=12,
             detector_order=2,
@@ -215,6 +213,64 @@ class TestBoundedMemory:
             for name in ("ar", "cograph")
         )
         assert metric == total
+
+
+def _reference_trim(co_counts, max_edges):
+    """The full-sort eviction ``_trim_edges`` must reproduce exactly."""
+    overflow = len(co_counts) - max_edges
+    ranked = sorted(co_counts.items(), key=lambda item: (item[1], item[0]))
+    return {edge for edge, _ in ranked[: max(overflow, 0)]}
+
+
+def _trimmed(co_counts, max_edges):
+    """Edges ``_trim_edges`` evicts from a graph with these co-counts."""
+    source = CoRatingGraphSource(max_edges=max_edges)
+    source._edges = {edge: [count, 0] for edge, count in co_counts.items()}
+    source._trim_edges()
+    evicted = set(co_counts) - set(source._edges)
+    assert source.n_evictions == len(evicted)
+    return evicted
+
+
+edge_keys = st.tuples(st.integers(0, 40), st.integers(0, 40)).filter(
+    lambda edge: edge[0] < edge[1]
+)
+
+
+class TestTrimEdges:
+    # Two edges of co-count 1, three of 2, one of 5: bucket boundaries
+    # fall after 2 and 5 evictions.  Insertion order is not edge order,
+    # so only the tie-break sort picks the right edges inside a bucket.
+    GRAPH = {(2, 9): 1, (0, 2): 1, (1, 7): 2, (3, 4): 5, (1, 2): 2, (0, 1): 2}
+
+    @pytest.mark.parametrize(
+        "overflow",
+        [
+            1,  # overflow of 1: a single tie-broken edge from bucket 1
+            2,  # the cut lands exactly on the bucket-1/bucket-2 boundary
+            3,  # ties inside the cut bucket: one of three co-count-2 edges
+            4,  # two of the three co-count-2 edges
+            5,  # boundary again: buckets 1 and 2 whole
+        ],
+    )
+    def test_matches_full_sort_at_cuts(self, overflow):
+        max_edges = len(self.GRAPH) - overflow
+        evicted = _trimmed(self.GRAPH, max_edges)
+        assert len(evicted) == overflow
+        assert evicted == _reference_trim(self.GRAPH, max_edges)
+
+    def test_under_cap_evicts_nothing(self):
+        assert _trimmed(self.GRAPH, len(self.GRAPH)) == set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        co_counts=st.dictionaries(edge_keys, st.integers(1, 4), max_size=60),
+        max_edges=st.integers(1, 60),
+    )
+    def test_matches_full_sort_reference(self, co_counts, max_edges):
+        assert _trimmed(co_counts, max_edges) == _reference_trim(
+            co_counts, max_edges
+        )
 
 
 class TestCoRatingGraphSource:
@@ -306,13 +362,12 @@ class TestIterativeFilterSource:
 class TestEngineIntegration:
     def make_engine(self, **overrides):
         base = dict(
-            n_shards=2,
             batch_max_ratings=16,
             detector_window=12,
             detector_order=2,
             detector_stride=3,
-            detector_threshold=0.2,
             ensemble_sources=THREE_SOURCES,
+            ensemble_thresholds=(0.2, None, None),
         )
         base.update(overrides)
         return RatingEngine(ServiceConfig(**base))
@@ -358,12 +413,11 @@ class TestEngineIntegration:
         """Default config: suspicion_table mirrors the AR charges."""
         engine = RatingEngine(
             ServiceConfig(
-                n_shards=1,
                 batch_max_ratings=10_000,
                 detector_window=12,
                 detector_order=2,
                 detector_stride=3,
-                detector_threshold=0.2,
+                ensemble_thresholds=(0.2,),
             )
         )
         rng = np.random.default_rng(3)
@@ -406,27 +460,21 @@ def _thread_ratings(thread_id, seed):
 
 def _ensemble_config(wal_dir):
     return ServiceConfig(
-        n_shards=1,
         batch_max_ratings=16,
         detector_window=12,
         detector_order=2,
         detector_stride=3,
-        detector_threshold=0.2,
         ensemble_sources=THREE_SOURCES,
+        ensemble_thresholds=(0.2, None, None),
         trust_forgetting_factor=1.0,
         wal_dir=str(wal_dir),
     )
 
 
 def _ensemble_state(engine):
-    """Per-shard per-source state, for exact recovery comparison."""
-    out = []
-    for shard in engine._shards:
-        with shard.lock:
-            out.append(
-                {name: source.state_dict() for name, source in shard.sources.items()}
-            )
-    return out
+    """Per-source state, for exact recovery comparison."""
+    with engine._lock:
+        return {name: source.state_dict() for name, source in engine._sources.items()}
 
 
 class TestEnsembleCrashRecovery:
@@ -534,54 +582,33 @@ class TestEnsembleCrashRecovery:
         ) == live_state
         recovered.close()
 
-    def test_version1_snapshot_upgrades(self, tmp_path):
-        """A pre-ensemble (version-1) snapshot loads into an AR source."""
-        config = ServiceConfig(
-            n_shards=1,
-            batch_max_ratings=16,
-            detector_window=12,
-            detector_order=2,
-            detector_stride=3,
-            detector_threshold=0.2,
-            wal_dir=str(tmp_path / "v1"),
-        )
-        engine = RatingEngine(config)
-        stream = ring_stream(rounds=2, seed=9)
-        for rating in stream:
+    def test_version2_snapshot_is_refused(self, tmp_path):
+        """A thread-sharded (version-2) snapshot is refused, not mis-loaded."""
+        engine = RatingEngine(_ensemble_config(tmp_path / "live"))
+        for rating in ring_stream(rounds=2, seed=9):
             engine.submit(rating)
+        engine.flush()
         state = engine._state_dict()
-        # Downgrade to the version-1 layout by hand.
-        v1_shards = []
-        for shard_state in state["shards"]:
-            ar_state = shard_state["sources"]["ar"]
-            products = {}
-            for pid, product_state in ar_state["products"].items():
-                products[pid] = {
-                    **product_state,
-                    "last_time": shard_state["last_time"][pid],
-                }
-            v1_shards.append(
-                {
-                    "products": products,
-                    "pending_provided": shard_state["pending_provided"],
-                    "pending_suspicion": ar_state["pending_mass"],
-                    "pending_suspicious": ar_state["pending_counts"],
-                    "since_flush": shard_state["since_flush"],
-                    "n_accepted": shard_state["n_accepted"],
-                    "n_rejected": shard_state["n_rejected"],
-                    "n_evaluations": shard_state["n_evaluations"],
-                    "n_flagged": shard_state["n_flagged"],
-                    "store_n_ratings": shard_state["store_n_ratings"],
-                }
-            )
-        v1_state = {**state, "version": 1, "shards": v1_shards}
-        v1_state.pop("suspicion_totals")
-
-        engine.wal.close()  # release the WAL so `fresh` can open it
-        fresh = RatingEngine(config)
-        for rating in stream:  # rebuild the store prefix as recover() does
-            fresh._restore_rating(rating)
-        fresh._load_state(v1_state)
-        assert _ensemble_state(fresh)[0]["ar"] == _ensemble_state(engine)[0]["ar"]
-        assert fresh.trust_table() == engine.trust_table()
         engine.close()
+        # The version-2 layout: engine-wide keys at the top, the rest
+        # split across a ``shards`` list.
+        shard_keys = (
+            "sources", "last_time", "pending_provided", "since_flush",
+            "n_rejected", "n_evaluations", "n_flagged", "store_n_ratings",
+        )
+        shard = {key: state[key] for key in shard_keys}
+        v2_state = {key: v for key, v in state.items() if key not in shard_keys}
+        v2_state.update(version=2, shards=[shard, shard])
+
+        fresh = RatingEngine(_ensemble_config(tmp_path / "fresh"))
+        with pytest.raises(ConfigurationError, match="version 2"):
+            fresh._load_state(v2_state)
+        assert fresh.trust_table() == {}
+        assert fresh.n_accepted == 0
+        fresh.close()
+
+        # Through recover(): a multi-shard config is refused up front.
+        v2_state["config"] = {**v2_state["config"], "n_shards": 4}
+        write_snapshot(tmp_path / "v2", v2_state)
+        with pytest.raises(ConfigurationError, match="n_shards"):
+            RatingEngine.recover(tmp_path / "v2")

@@ -16,7 +16,7 @@ from repro.service.http import start_background
 @pytest.fixture()
 def service():
     engine = RatingEngine(
-        ServiceConfig(n_shards=2, detector_window=12, detector_order=2)
+        ServiceConfig(detector_window=12, detector_order=2)
     )
     server, _thread = start_background(engine)
     base = f"http://127.0.0.1:{server.server_address[1]}"
@@ -147,7 +147,7 @@ class TestReadEndpoints:
         _engine, base = service
         status, body = _get(f"{base}/stats")
         assert status == 200
-        assert body["n_shards"] == 2
+        assert body["n_accepted"] == body["n_ratings"] == 0
 
     def test_unknown_route_404(self, service):
         _engine, base = service

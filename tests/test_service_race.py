@@ -1,12 +1,12 @@
 """Concurrency stress test: the invariant the lock rules protect.
 
-Eight threads hammer a single-shard :class:`RatingEngine` (every
-product maps to the one shard, so all threads contend on the same
-``_Shard.lock``).  Two properties must survive the interleaving:
+Eight threads hammer one :class:`RatingEngine`, so all of them
+contend on its single engine lock.  Two properties must survive the
+interleaving:
 
-1. **WAL order == apply order.**  The WAL is appended under the shard
-   lock (the lone CC02 baseline entry in ``.lint-baseline.json``
-   exists precisely to preserve this), so replaying the WAL through a
+1. **WAL order == apply order.**  The WAL is appended under the engine
+   lock (a CC02 baseline entry in ``.lint-baseline.json`` exists
+   precisely to preserve this), so replaying the WAL through a
    fresh engine single-threaded must land on *bit-for-bit identical*
    trust values -- exact float equality, not approximate.
 2. **No lost updates.**  With ``forgetting_factor=1.0`` trust evidence
@@ -22,12 +22,14 @@ deterministic and no rating is rejected as out-of-order.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 
 import numpy as np
 
 from repro.ratings.models import Rating
 from repro.service import RatingEngine, ServiceConfig
+from repro.service.wal import list_snapshots
 
 N_THREADS = 8
 PER_THREAD = 120
@@ -54,12 +56,11 @@ def thread_ratings(thread_id, seed):
 
 def make_config(wal_dir):
     return ServiceConfig(
-        n_shards=1,
         batch_max_ratings=16,
         detector_window=12,
         detector_order=2,
         detector_stride=3,
-        detector_threshold=0.2,
+        ensemble_thresholds=(0.2,),
         trust_forgetting_factor=1.0,
         wal_dir=str(wal_dir),
     )
@@ -106,7 +107,7 @@ def test_concurrent_submits_match_single_threaded_replay(tmp_path):
     replay_stats = replayed.snapshot_stats()
     replayed.close()
 
-    # Exact equality: WAL order == per-shard apply order, and additive
+    # Exact equality: WAL order == apply order, and additive
     # evidence (forgetting=1.0) is invariant to flush partitioning.
     assert replay_trust == live_trust
     for key in ("n_accepted", "n_products", "n_raters", "windows_flagged"):
@@ -114,7 +115,7 @@ def test_concurrent_submits_match_single_threaded_replay(tmp_path):
 
 
 def test_concurrent_totals_are_not_lost(tmp_path):
-    """Shard counters under contention: every accepted rating counted once."""
+    """Engine counters under contention: every accepted rating counted once."""
     engine = RatingEngine(make_config(tmp_path / "wal"))
     batches = [thread_ratings(t, seed=7 + t) for t in range(N_THREADS)]
     threads = [
@@ -133,3 +134,54 @@ def test_concurrent_totals_are_not_lost(tmp_path):
         N_THREADS * PER_THREAD
     )
     engine.close()
+
+
+def test_snapshots_under_concurrent_submits_recover_exactly(tmp_path):
+    """A snapshot captures its state under the engine lock and writes
+    the file while other threads keep submitting; racing automatic
+    snapshots (and the WAL GC behind them) must still leave a
+    directory that recovers to the live engine's exact state."""
+    wal_dir = tmp_path / "live"
+    config = ServiceConfig.from_dict(
+        {
+            **make_config(wal_dir).to_dict(),
+            "snapshot_every": 50,
+            "store_backend": "tiered",
+            "wal_segment_entries": 40,
+        }
+    )
+    engine = RatingEngine(config)
+    batches = [thread_ratings(t, seed=300 + t) for t in range(N_THREADS)]
+    barrier = threading.Barrier(N_THREADS)
+
+    def worker(thread_id):
+        barrier.wait()
+        for rating in batches[thread_id]:
+            engine.submit(rating)
+
+    threads = [
+        threading.Thread(target=worker, args=(t,)) for t in range(N_THREADS)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    engine.flush()
+    live_trust = engine.trust_table()
+    live_scores = [engine.score(pid) for pid in range(N_THREADS)]
+    assert engine.wal.first_seq > 0  # snapshots really garbage-collected
+    engine.close()
+    assert len(list_snapshots(wal_dir)) == 1
+
+    recovered = RatingEngine.recover(wal_dir)
+    recovered.flush()
+    assert recovered.n_accepted == N_THREADS * PER_THREAD
+    assert recovered.trust_table() == live_trust
+    assert [recovered.score(pid) for pid in range(N_THREADS)] == live_scores
+    recovered.close()

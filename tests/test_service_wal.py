@@ -11,13 +11,11 @@ from repro.errors import ConfigurationError
 from repro.ratings.models import Rating
 from repro.service import RatingEngine, ServiceConfig, WriteAheadLog
 from repro.service.wal import (
-    WAL_FILENAME,
     latest_snapshot,
     list_segments,
     list_snapshots,
     read_snapshot,
     replay_wal,
-    wal_exists,
     write_snapshot,
 )
 from tests.test_service_engine import BASE, make_stream
@@ -25,37 +23,34 @@ from tests.test_service_engine import BASE, make_stream
 
 class TestWriteAheadLog:
     def test_append_replay_roundtrip(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / WAL_FILENAME)
+        wal = WriteAheadLog(tmp_path)
         stream = make_stream(20)
         for rating in stream:
             wal.append(rating)
         wal.close()
-        replayed = list(replay_wal(tmp_path / WAL_FILENAME))
+        replayed = list(replay_wal(tmp_path))
         assert [seq for seq, _ in replayed] == list(range(20))
         assert [r for _, r in replayed] == stream
 
     def test_reopen_continues_sequence(self, tmp_path):
-        path = tmp_path / WAL_FILENAME
-        wal = WriteAheadLog(path)
+        wal = WriteAheadLog(tmp_path)
         assert wal.append(make_stream(1)[0]) == 0
         wal.close()
-        wal = WriteAheadLog(path)
+        wal = WriteAheadLog(tmp_path)
         assert wal.n_entries == 1
         assert wal.append(make_stream(2)[1]) == 1
         wal.close()
 
     def test_fsync_callback_fires(self, tmp_path):
         durations = []
-        wal = WriteAheadLog(tmp_path / WAL_FILENAME, on_fsync=durations.append)
+        wal = WriteAheadLog(tmp_path, on_fsync=durations.append)
         wal.append(make_stream(1)[0])
         wal.close()
         assert durations and all(d >= 0 for d in durations)
 
     def test_batched_fsync(self, tmp_path):
         durations = []
-        wal = WriteAheadLog(
-            tmp_path / WAL_FILENAME, fsync_every=10, on_fsync=durations.append
-        )
+        wal = WriteAheadLog(tmp_path, fsync_every=10, on_fsync=durations.append)
         for rating in make_stream(25):
             wal.append(rating)
         assert len(durations) == 2  # at 10 and 20
@@ -64,13 +59,12 @@ class TestWriteAheadLog:
 
     def test_invalid_fsync_every(self, tmp_path):
         with pytest.raises(ConfigurationError):
-            WriteAheadLog(tmp_path / WAL_FILENAME, fsync_every=0)
+            WriteAheadLog(tmp_path, fsync_every=0)
 
     def test_corrupt_line_raises(self, tmp_path):
-        path = tmp_path / WAL_FILENAME
-        path.write_text('{"rating_id": 0\nnot json\n')
+        (tmp_path / "wal-000000000000.jsonl").write_text('{"rating_id": 0\nnot json\n')
         with pytest.raises(ConfigurationError):
-            list(replay_wal(path))
+            list(replay_wal(tmp_path))
 
 
 class TestSegments:
@@ -135,23 +129,6 @@ class TestSegments:
         assert [start for start, _ in wal.segments()] == [30]
         wal.append(make_stream(36)[35])
         assert wal.n_entries == 36
-        wal.close()
-
-    def test_legacy_single_file_is_migrated(self, tmp_path):
-        legacy = WriteAheadLog(tmp_path / "old" / WAL_FILENAME)
-        for rating in make_stream(5):
-            legacy.append(rating)
-        legacy.close()
-        # Simulate a pre-segment layout: a bare wal.jsonl.
-        (tmp_path / "migrate").mkdir()
-        (tmp_path / "old" / "wal-000000000000.jsonl").rename(
-            tmp_path / "migrate" / WAL_FILENAME
-        )
-        assert wal_exists(tmp_path / "migrate")
-        wal = WriteAheadLog(tmp_path / "migrate")
-        assert wal.n_entries == 5
-        assert not (tmp_path / "migrate" / WAL_FILENAME).exists()
-        assert (tmp_path / "migrate" / "wal-000000000000.jsonl").exists()
         wal.close()
 
     def test_second_engine_fails_fast_on_locked_directory(self, tmp_path):
@@ -344,7 +321,7 @@ class TestCrashRecovery:
         engine.submit_many(make_stream(30))
         engine.snapshot()
         engine.close()
-        (wal_dir / WAL_FILENAME).write_text("")  # truncate the log
+        list_segments(wal_dir)[-1][1].write_text("")  # truncate the log
         with pytest.raises(ConfigurationError):
             RatingEngine.recover(wal_dir)
 
