@@ -40,7 +40,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 # invalidate only itself plus its few dependents, not the tree.
 TOUCH_TARGET = "src/repro/signal/detrend.py"
 # A persistence-tier module: touching it re-runs the effect-summary
-# rules (DP/SD/CC04-CC05) over its import cone -- the expensive end of
+# rules (DP/SD) over its import cone -- the expensive end of
 # the incremental spectrum, priced separately so a regression in the
 # interprocedural pass shows up here rather than in the leaf number.
 SERVICE_TOUCH_TARGET = "src/repro/service/wal.py"

@@ -103,12 +103,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="also dump the replay stats to this JSON file",
     )
 
-    lint_parser = sub.add_parser(
-        "lint", help="run the project static analyzer (repro.devtools)"
+    # Listed for `repro --help` only: main() hands `repro lint ...` to
+    # repro.devtools.cli.main before parsing, so serve/replay launches
+    # never import the linter.
+    sub.add_parser(
+        "lint",
+        help="run the project static analyzer (repro.devtools); "
+        "see `repro lint --help`",
+        add_help=False,
     )
-    from repro.devtools.cli import configure_parser as _configure_lint_parser
-
-    _configure_lint_parser(lint_parser)
     return parser
 
 
@@ -330,13 +333,13 @@ def _run_replay(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code (nonzero on failure)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        if args.command == "lint":
-            from repro.devtools.cli import run_from_args
+        if argv[:1] == ["lint"]:
+            from repro.devtools.cli import main as lint_main
 
-            return run_from_args(args)
+            return lint_main(argv[1:])
+        args = build_parser().parse_args(argv)
         if args.command == "audit":
             from repro.audit import audit_file, format_audit
 

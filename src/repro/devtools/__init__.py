@@ -3,17 +3,18 @@
 ``repro.devtools`` is a dependency-free, stdlib-``ast`` linter built
 for this codebase's specific hazards: a threaded serving stack whose
 trust math must not race, and numeric trust/suspicion state that must
-never be compared with ``==``.  It ships eight rule families:
-concurrency (lock-order inversions, blocking I/O under locks,
-``_GUARDED_BY`` violations), numeric hygiene, API drift, structure,
-and -- via the whole-program engine in ``repro.devtools.analysis`` --
-domain invariants (DI, interval analysis against a declarative
-contract registry), architecture (AR, layering DAG plus import
-cycles), exception discipline (EX, what escapes HTTP handlers and CLI
-mains), and dead exports (DX).  All of it sits behind a registry with
-an incremental content-hash cache (``.lint-cache/``), inline
-``# repro: lint-disable[RULE]`` suppressions, a committed baseline for
-grandfathered findings, and human/JSON reporters.
+never be compared with ``==``.  It ships seven rule families, each
+kept because it found a real bug here: concurrency (CC, lock-order
+inversions, blocking I/O under locks, ``_GUARDED_BY`` violations),
+numeric hygiene (NH), and -- via the whole-program engine in
+``repro.devtools.analysis`` -- domain invariants (DI, interval
+analysis against a declarative contract registry), exception
+discipline (EX, what escapes HTTP handlers and CLI mains), dead code
+(DX), the durability protocol (DP) and snapshot serialization (SD).
+All of it sits behind a registry with an incremental content-hash
+cache (``.lint-cache/``), inline ``# repro: lint-disable[RULE]``
+suppressions, a committed baseline for grandfathered findings, and
+human/JSON/SARIF reporters.
 
 Run it as ``repro lint src`` or ``python -m repro.devtools src``; the
 exit code is the CLI convention (0 clean, 1 findings, 2 usage or

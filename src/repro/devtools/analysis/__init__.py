@@ -1,10 +1,10 @@
-"""Whole-program analysis engine behind the DI/AR/EX/DX rule families.
+"""Whole-program analysis engine behind the DI/EX/DX/DP/SD rule families.
 
 ``repro.devtools.analysis`` grows the per-file linter of
 :mod:`repro.devtools` into a project-wide pass:
 
 * :mod:`~repro.devtools.analysis.model` -- module symbol table, import
-  DAG, and cross-module call resolution built on the per-file parse
+  graph, and cross-module call resolution built on the per-file parse
   layer;
 * :mod:`~repro.devtools.analysis.intervals` -- the interval abstract
   domain used by the domain-invariant (DI) rules, including the
@@ -21,12 +21,11 @@
   such as ``wal_append``) flattened through the call graph, and the
   :class:`EffectRegistry` of durability contracts that modules extend
   with ``__effect_contracts__`` declarations;
-* ``rules_domain`` / ``rules_arch`` / ``rules_exceptions`` /
-  ``rules_deadcode`` -- the DI, AR, EX, and DX rule families;
-* ``rules_durability`` / ``rules_serialization`` /
-  ``rules_crossproc`` -- the DP (durability protocol), SD
-  (serialization contract), and CC04-CC05 (cross-process lock) rule
-  families built on the effect summaries.
+* ``rules_domain`` / ``rules_exceptions`` / ``rules_deadcode`` -- the
+  DI, EX, and DX rule families;
+* ``rules_durability`` / ``rules_serialization`` -- the DP (durability
+  protocol) and SD (serialization contract) rule families built on the
+  effect summaries.
 """
 
 from repro.devtools.analysis.cache import AnalysisCache

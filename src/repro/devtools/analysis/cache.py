@@ -14,7 +14,7 @@ content hashes, never mtimes, so it survives checkouts and touch(1):
   function of the file text -- but baselining is recomputed fresh
   every run);
 * the content hashes of every **external input** the executed rules
-  declared (API guide, surface test, DX reference roots).
+  declared (the DX reference roots: tests, benchmarks, examples).
 
 Validity is per file: an entry is reusable iff its own hash and every
 cone hash still match the current tree.  A changed file therefore

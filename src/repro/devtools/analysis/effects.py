@@ -32,13 +32,11 @@ and so on), and any module can add its own with a literal
         "providers": {"Log.append": "wal_append"},
         "ack_providers": ["Server.respond"],
         "orderings": {"Server.handle": [["wal_append", "ack"]]},
-        "state_keys_since": {"Engine": {"suspicion_totals": 2}},
     }
 
 Names are module-relative (``Class.method`` or ``func``); ``orderings``
 lists happens-before pairs checked by DP02 on the declaring function's
-flattened sequence, and ``state_keys_since`` records the snapshot
-version that introduced a state key (consumed by SD03).
+flattened sequence.
 
 Soundness note (documented in docs/LINT.md): calls the resolver cannot
 map to a project function contribute no effects, so the analysis
@@ -116,8 +114,8 @@ class FunctionEffects:
 
 
 class EffectRegistry:
-    """Declared effect providers, ack providers, orderings, and state
-    key versions -- the seed table plus ``__effect_contracts__``."""
+    """Declared effect providers, ack providers, and orderings -- the
+    seed table plus ``__effect_contracts__``."""
 
     def __init__(self) -> None:
         #: dotted function name -> named effect it provides.
@@ -131,11 +129,6 @@ class EffectRegistry:
         #: flattened sequence.
         self.orderings: Dict[str, List[Tuple[str, str]]] = {
             name: list(pairs) for name, pairs in _SEED_ORDERINGS.items()
-        }
-        #: dotted class name -> {state key -> snapshot version that
-        #: introduced it}.
-        self.state_keys_since: Dict[str, Dict[str, int]] = {
-            name: dict(keys) for name, keys in _SEED_STATE_KEYS.items()
         }
 
     # -- extension --------------------------------------------------------
@@ -173,13 +166,6 @@ class EffectRegistry:
                 ]
                 if cleaned:
                     self.orderings[f"{module_name}.{name}"] = cleaned
-        keys_since = spec.get("state_keys_since")
-        if isinstance(keys_since, dict):
-            for name, keys in keys_since.items():
-                if isinstance(keys, dict):
-                    self.state_keys_since[f"{module_name}.{name}"] = {
-                        str(k): int(v) for k, v in keys.items()
-                    }
 
     # -- identity ---------------------------------------------------------
 
@@ -192,10 +178,6 @@ class EffectRegistry:
             "orderings": {
                 name: [list(pair) for pair in pairs]
                 for name, pairs in sorted(self.orderings.items())
-            },
-            "state_keys_since": {
-                name: dict(sorted(keys.items()))
-                for name, keys in sorted(self.state_keys_since.items())
             },
         }
         blob = json.dumps(payload, sort_keys=True).encode("utf-8")
@@ -224,8 +206,6 @@ _SEED_ACK_METHODS: Tuple[str, ...] = ("send_response",)
 #: the seed table stays empty so fixtures document the mechanism.
 _SEED_ORDERINGS: Dict[str, List[Tuple[str, str]]] = {}
 
-_SEED_STATE_KEYS: Dict[str, Dict[str, int]] = {}
-
 
 def default_effect_registry() -> EffectRegistry:
     """A fresh registry holding only the seed tables."""
@@ -244,22 +224,6 @@ class EffectIndex:
     ack_methods: Set[str] = field(default_factory=set)
     #: function qualname -> happens-before pairs.
     orderings: Dict[str, List[Tuple[str, str]]] = field(default_factory=dict)
-    #: project class name -> {state key -> introducing version}.
-    state_keys_since: Dict[str, Dict[str, int]] = field(default_factory=dict)
-
-
-def _resolve_class(
-    analysis: AnalysisModel, project: ProjectModel, dotted: str
-) -> Optional[str]:
-    """Map a dotted class name to a project class, or None."""
-    module, _, name = dotted.rpartition(".")
-    relpath = analysis.module_file(module)
-    if relpath is None:
-        return None
-    model = project.classes.get(name)
-    if model is not None and model.file.relpath == relpath:
-        return name
-    return None
 
 
 def get_effect_index(
@@ -287,10 +251,6 @@ def get_effect_index(
         qualname = analysis.resolve_dotted(dotted)
         if qualname is not None:
             index.orderings[qualname] = list(pairs)
-    for dotted, keys in registry.state_keys_since.items():
-        class_name = _resolve_class(analysis, project, dotted)
-        if class_name is not None:
-            index.state_keys_since[class_name] = dict(keys)
     project._effect_index = index
     return index
 

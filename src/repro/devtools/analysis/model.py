@@ -8,9 +8,8 @@ interprocedural rule families need:
   module names each file imports (relative imports resolved), and the
   per-file reference index (names read, attributes accessed, words in
   string constants) that the dead-export rules consume;
-* the **import DAG** restricted to project-internal edges, with
-  dependents/dependencies closures (the incremental cache invalidates
-  exactly the reverse closure of a changed file);
+* the **import graph** restricted to project-internal edges, with the
+  transitive import cone the incremental cache records per file;
 * **cross-module call resolution** extending the per-file resolver:
   ``from pkg.mod import helper; helper()`` resolves to
   ``pkg/mod.py::helper``, ``SomeClass.method(...)`` through an imported
@@ -25,7 +24,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.devtools.core import SourceFile
 from repro.devtools.project import CallEvent, FunctionModel, ProjectModel
@@ -33,7 +32,6 @@ from repro.devtools.project import CallEvent, FunctionModel, ProjectModel
 __all__ = [
     "AnalysisModel",
     "ModuleInfo",
-    "build_analysis",
     "get_analysis",
     "module_name_for",
 ]
@@ -59,20 +57,6 @@ def module_name_for(relpath: str) -> str:
 
 
 @dataclass
-class ImportEdge:
-    """One import statement target: absolute module name + location.
-
-    ``lazy`` marks imports inside a function body -- they still create
-    a dependency for cache invalidation, but they are the accepted way
-    to break an import cycle, so cycle detection ignores them.
-    """
-
-    module: str
-    line: int
-    lazy: bool = False
-
-
-@dataclass
 class Definition:
     """A top-level ``def`` or ``class`` in one module."""
 
@@ -88,7 +72,8 @@ class ModuleInfo:
 
     file: SourceFile
     module: str
-    import_edges: List[ImportEdge] = field(default_factory=list)
+    #: absolute names of every module an import statement targets.
+    imports: Set[str] = field(default_factory=set)
     #: local name -> (source module, original name) for ``from m import x``.
     imported_names: Dict[str, Tuple[str, str]] = field(default_factory=dict)
     #: local alias -> module name for ``import m [as a]`` (and submodule
@@ -103,8 +88,6 @@ class ModuleInfo:
     name_refs: Set[str] = field(default_factory=set)
     #: identifier words inside string constants outside ``__all__``.
     string_words: Set[str] = field(default_factory=set)
-    #: (source module, original name) pairs imported inside functions.
-    lazy_imported: Set[Tuple[str, str]] = field(default_factory=set)
 
     @property
     def exported(self) -> Set[str]:
@@ -136,18 +119,10 @@ def _collect_module_info(file: SourceFile) -> ModuleInfo:
                 )
             )
 
-    lazy_nodes: Set[int] = set()
     for node in ast.walk(file.tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            lazy_nodes.update(id(child) for child in ast.walk(node))
-
-    for node in ast.walk(file.tree):
-        lazy = id(node) in lazy_nodes
         if isinstance(node, ast.Import):
             for alias in node.names:
-                info.import_edges.append(
-                    ImportEdge(alias.name, node.lineno, lazy=lazy)
-                )
+                info.imports.add(alias.name)
                 local = alias.asname or alias.name.split(".")[0]
                 info.module_aliases[local] = alias.name if alias.asname else alias.name.split(".")[0]
         elif isinstance(node, ast.ImportFrom):
@@ -163,16 +138,12 @@ def _collect_module_info(file: SourceFile) -> ModuleInfo:
                 source = f"{base}.{node.module}" if node.module else base
             else:
                 source = node.module or ""
-            info.import_edges.append(
-                ImportEdge(source, node.lineno, lazy=lazy)
-            )
+            info.imports.add(source)
             for alias in node.names:
                 if alias.name == "*":
                     continue
                 local = alias.asname or alias.name
                 info.imported_names[local] = (source, alias.name)
-                if lazy:
-                    info.lazy_imported.add((source, alias.name))
                 if alias.asname and alias.asname != alias.name:
                     info.aliased_origs.add(alias.name)
         elif isinstance(node, ast.Name):
@@ -186,7 +157,7 @@ def _collect_module_info(file: SourceFile) -> ModuleInfo:
 
 
 class AnalysisModel:
-    """The whole-program view shared by the DI/AR/EX/DX rules."""
+    """The whole-program view shared by the DI/EX/DX/DP/SD rules."""
 
     def __init__(
         self,
@@ -204,35 +175,25 @@ class AnalysisModel:
             if info.module:
                 self.by_module_name[info.module] = file.relpath
         self._import_graph: Dict[str, Set[str]] = {}
-        self._eager_graph: Dict[str, Set[str]] = {}
         for relpath, info in self.modules.items():
             deps: Set[str] = set()
-            eager: Set[str] = set()
-            for edge in info.import_edges:
-                target = self.module_file(edge.module)
+            for module in info.imports:
+                target = self.module_file(module)
                 if target is not None and target != relpath:
                     deps.add(target)
-                    if not edge.lazy:
-                        eager.add(target)
             # ``from pkg import mod`` pulls in pkg/mod.py as well.
             for source, orig in info.imported_names.values():
                 target = self.module_file(f"{source}.{orig}")
                 if target is not None and target != relpath:
                     deps.add(target)
-                    if (source, orig) not in info.lazy_imported:
-                        eager.add(target)
                     info.module_aliases.setdefault(orig, f"{source}.{orig}")
             self._import_graph[relpath] = deps
-            self._eager_graph[relpath] = eager
 
-    # -- import DAG -------------------------------------------------------
+    # -- import graph -----------------------------------------------------
 
     def module_file(self, module: str) -> Optional[str]:
         """Project file providing a module, or None for external ones."""
         return self.by_module_name.get(module)
-
-    def dependencies(self, relpath: str) -> Set[str]:
-        return set(self._import_graph.get(relpath, ()))
 
     def transitive_imports(self, relpath: str) -> Set[str]:
         """Every project file reachable through imports (exclusive)."""
@@ -245,62 +206,6 @@ class AnalysisModel:
             seen.add(dep)
             queue.extend(self._import_graph.get(dep, ()))
         return seen
-
-    def dependents_closure(self, seeds: Iterable[str]) -> Set[str]:
-        """Seeds plus every file that (transitively) imports them."""
-        reverse: Dict[str, Set[str]] = {}
-        for src, deps in self._import_graph.items():
-            for dep in deps:
-                reverse.setdefault(dep, set()).add(src)
-        out: Set[str] = set()
-        queue = list(seeds)
-        while queue:
-            relpath = queue.pop()
-            if relpath in out:
-                continue
-            out.add(relpath)
-            queue.extend(reverse.get(relpath, ()))
-        return out
-
-    def import_cycles(self) -> List[List[str]]:
-        """Strongly connected components of size > 1 (Tarjan).
-
-        Only eager (module-body) imports participate: a lazy import
-        inside a function is the sanctioned way to break a cycle.
-        """
-        index: Dict[str, int] = {}
-        lowlink: Dict[str, int] = {}
-        on_stack: Set[str] = set()
-        stack: List[str] = []
-        counter = [0]
-        cycles: List[List[str]] = []
-
-        def strongconnect(node: str) -> None:
-            index[node] = lowlink[node] = counter[0]
-            counter[0] += 1
-            stack.append(node)
-            on_stack.add(node)
-            for dep in sorted(self._eager_graph.get(node, ())):
-                if dep not in index:
-                    strongconnect(dep)
-                    lowlink[node] = min(lowlink[node], lowlink[dep])
-                elif dep in on_stack:
-                    lowlink[node] = min(lowlink[node], index[dep])
-            if lowlink[node] == index[node]:
-                component: List[str] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                if len(component) > 1:
-                    cycles.append(sorted(component))
-
-        for node in sorted(self._eager_graph):
-            if node not in index:
-                strongconnect(node)
-        return cycles
 
     # -- contract / call resolution ---------------------------------------
 
@@ -387,12 +292,6 @@ class AnalysisModel:
         return out
 
 
-def build_analysis(
-    files: Sequence[SourceFile], root: Path, project: ProjectModel
-) -> AnalysisModel:
-    return AnalysisModel(files, root, project)
-
-
 def get_analysis(project: ProjectModel, files: Sequence[SourceFile]) -> AnalysisModel:
     """The run's :class:`AnalysisModel`, built once and memoized.
 
@@ -403,6 +302,6 @@ def get_analysis(project: ProjectModel, files: Sequence[SourceFile]) -> Analysis
     cached = getattr(project, "_analysis_model", None)
     if cached is None:
         universe = getattr(project, "_all_files", None) or files
-        cached = build_analysis(universe, project.root, project)
+        cached = AnalysisModel(universe, project.root, project)
         project._analysis_model = cached
     return cached

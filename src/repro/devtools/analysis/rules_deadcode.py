@@ -1,9 +1,10 @@
 """DX: dead-export and dead-definition detection.
 
 The public surface is declared in ``__all__`` lists and kept honest by
-AD01 (tested + documented); these rules close the other side of the
-loop -- names that are *declared* public but that nothing actually
-uses, and private top-level definitions nothing references at all.
+``tests/test_api_surface.py`` (exported, tested, documented); these
+rules close the other side of the loop -- names that are *declared*
+public but that nothing actually uses, and private top-level
+definitions nothing references at all.
 
 * **DX01** -- an ``__all__`` entry whose name is referenced nowhere:
   not by any linted module (its own included -- the definition and the
@@ -121,8 +122,8 @@ class DeadExport(_DxRule):
     rationale = (
         "A name in __all__ that nothing references -- not code, not "
         "strings, not tests, benchmarks, or examples -- is API surface "
-        "that must be tested and documented (AD01) but delivers "
-        "nothing; delete it."
+        "that must be tested and documented but delivers nothing; "
+        "delete it."
     )
 
     def run(self, project: ProjectModel, files: List[SourceFile]) -> Iterator[Finding]:

@@ -2,7 +2,7 @@
 
 Every stateful component in the serving tier round-trips through a
 ``state_dict()`` / ``load_state()`` pair (snapshots embed them, crash
-recovery replays them).  The contract has three legs the type system
+recovery replays them).  The contract has two legs the type system
 cannot see, one rule each:
 
 * **SD01** -- key symmetry.  (a) ``load_state`` strictly subscripting
@@ -16,10 +16,6 @@ cannot see, one rule each:
   without a registered upgrade path silently breaks recovery of every
   snapshot already on disk (the exact v1 -> v2 drift PR 6 fixed by
   hand).
-* **SD03** -- keys declared in ``__effect_contracts__``
-  ``state_keys_since`` with an introducing version >= 2 must be read
-  with a default (``state.get(...)``), never strictly subscripted:
-  older snapshots on disk simply do not have them.
 
 Writes are collected from returned dict literals (including the
 ``out = {...}; out["k"] = ...; return out`` build-up idiom); reads are
@@ -31,15 +27,10 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.devtools.analysis.effects import get_effect_index
 from repro.devtools.core import Finding, Rule, SourceFile, register
 from repro.devtools.project import FunctionModel
 
-__all__ = [
-    "StateKeySymmetryRule",
-    "VersionUpgradePathRule",
-    "NewKeyDefaultRule",
-]
+__all__ = ["StateKeySymmetryRule", "VersionUpgradePathRule"]
 
 #: The method-name pairs that form a serialization contract.
 _PAIR_NAMES: Tuple[Tuple[str, str], ...] = (
@@ -299,40 +290,3 @@ class VersionUpgradePathRule(Rule):
                     return True
         return False
 
-
-@register
-class NewKeyDefaultRule(Rule):
-    id = "SD03"
-    name = "new-state-key-needs-default"
-    rationale = (
-        "A state key introduced in snapshot version >= 2 (declared via "
-        "__effect_contracts__ state_keys_since) is absent from every "
-        "older snapshot on disk; reading it without a default crashes "
-        "recovery exactly when it matters."
-    )
-    scope = "cone"
-
-    def run(self, project, files: List[SourceFile]) -> Iterator[Finding]:
-        index = get_effect_index(project, files)
-        emit = {file.relpath for file in files}
-        by_relpath = {file.relpath: file for file in files}
-        for class_name, dump, load in _class_pairs(project, emit):
-            declared = index.state_keys_since.get(class_name)
-            if not declared:
-                continue
-            param = _state_param(load)
-            if param is None:
-                continue
-            file = by_relpath[load.file.relpath]
-            for key, line in _strict_reads(load, param):
-                since = declared.get(key)
-                if since is not None and since >= 2:
-                    yield self.finding(
-                        file,
-                        line,
-                        f"key '{key}' was introduced in snapshot "
-                        f"version {since}; {class_name}."
-                        f"{load.node.name} must read it with "
-                        f"{param}.get('{key}', ...) so version "
-                        f"{since - 1} snapshots still load",
-                    )

@@ -7,14 +7,12 @@ Exit codes follow the repo-wide CLI convention (docs/SERVICE.md):
 * ``2`` -- usage or internal error (argparse also exits 2 natively).
 
 Exposed both as ``python -m repro.devtools`` and as the ``repro lint``
-subcommand; :func:`configure_parser` / :func:`run_from_args` let the
-main ``repro`` CLI mount the same implementation.
+subcommand, which hands its arguments to :func:`main` unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -24,13 +22,18 @@ from repro.devtools.core import all_rules
 from repro.devtools.reporters import format_human, format_json, format_sarif
 from repro.devtools.runner import run_lint
 
-__all__ = ["configure_parser", "main", "run_from_args"]
+__all__ = ["main"]
 
 DEFAULT_BASELINE = ".lint-baseline.json"
 
 
-def configure_parser(parser: argparse.ArgumentParser) -> None:
-    """Attach the lint options to ``parser`` (shared with `repro lint`)."""
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro-lint",
+        description="Static analysis for the repro codebase "
+        "(concurrency, numeric hygiene, domain invariants, exception "
+        "flow, dead exports, durability protocol, serialization).",
+    )
     parser.add_argument(
         "paths",
         nargs="*",
@@ -46,8 +49,8 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--project-root",
         default=".",
-        help="repository root for relative paths, baseline, and the "
-        "API-drift targets (default: .)",
+        help="repository root for relative paths, the baseline, and the "
+        "dead-export reference scan (default: .)",
     )
     parser.add_argument(
         "--baseline",
@@ -87,12 +90,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         help="treat stale baseline entries as errors (exit 1)",
     )
     parser.add_argument(
-        "--changed",
-        action="store_true",
-        help="lint only files changed relative to git HEAD "
-        "(staged, unstaged, and untracked)",
-    )
-    parser.add_argument(
         "--no-cache",
         action="store_true",
         help="disable the incremental analysis cache",
@@ -103,6 +100,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         help="cache directory (default: .lint-cache under the project "
         "root)",
     )
+    return parser
 
 
 def _list_rules() -> str:
@@ -113,46 +111,7 @@ def _list_rules() -> str:
     return "\n".join(lines)
 
 
-def _changed_files(root: Path) -> Optional[List[Path]]:
-    """Python files changed vs. HEAD (tracked) plus untracked ones.
-
-    Returns None when git is unavailable or ``root`` is not a work
-    tree -- the caller falls back to a usage error.
-    """
-    commands = (
-        ["git", "diff", "--name-only", "HEAD"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    )
-    names: List[str] = []
-    for command in commands:
-        try:
-            proc = subprocess.run(
-                command,
-                cwd=str(root),
-                capture_output=True,
-                text=True,
-                check=False,
-                timeout=30,
-            )
-        except (OSError, subprocess.TimeoutExpired):
-            return None
-        if proc.returncode != 0:
-            return None
-        names.extend(line.strip() for line in proc.stdout.splitlines())
-    out: List[Path] = []
-    seen = set()
-    for name in names:
-        if not name or not name.endswith(".py") or name in seen:
-            continue
-        seen.add(name)
-        path = root / name
-        if path.is_file():
-            out.append(path)
-    return sorted(out)
-
-
-def run_from_args(args: argparse.Namespace) -> int:
-    """Execute a lint run from parsed arguments; returns the exit code."""
+def _run(args: argparse.Namespace) -> int:
     if args.list_rules:
         print(_list_rules())
         return 0
@@ -163,28 +122,14 @@ def run_from_args(args: argparse.Namespace) -> int:
         return 2
 
     paths: List[Path] = []
-    if args.changed:
-        changed = _changed_files(root)
-        if changed is None:
-            print(
-                "error: --changed requires git and a work tree at the "
-                "project root",
-                file=sys.stderr,
-            )
+    for raw in args.paths:
+        path = Path(raw)
+        if not path.is_absolute():
+            path = root / path
+        if not path.exists():
+            print(f"error: no such path: {raw}", file=sys.stderr)
             return 2
-        if not changed:
-            print("no changed python files; nothing to lint")
-            return 0
-        paths = changed
-    else:
-        for raw in args.paths:
-            path = Path(raw)
-            if not path.is_absolute():
-                path = root / path
-            if not path.exists():
-                print(f"error: no such path: {raw}", file=sys.stderr)
-                return 2
-            paths.append(path)
+        paths.append(path)
 
     baseline_path: Optional[Path] = None
     if not args.no_baseline:
@@ -202,30 +147,22 @@ def run_from_args(args: argparse.Namespace) -> int:
         if not cache_dir.is_absolute():
             cache_dir = root / cache_dir
 
-    try:
-        result = run_lint(
-            paths=paths,
-            project_root=root,
-            baseline_path=None if args.update_baseline else baseline_path,
-            select=select,
-            show_all=args.show_all,
-            use_cache=not args.no_cache,
-            cache_dir=cache_dir,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = run_lint(
+        paths=paths,
+        project_root=root,
+        baseline_path=None if args.update_baseline else baseline_path,
+        select=select,
+        show_all=args.show_all,
+        use_cache=not args.no_cache,
+        cache_dir=cache_dir,
+    )
 
     if args.update_baseline:
         if baseline_path is None:
             print("error: --update-baseline requires a baseline path",
                   file=sys.stderr)
             return 2
-        try:
-            old = Baseline.load(baseline_path)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        old = Baseline.load(baseline_path)
         reasons = {entry.key(): entry.reason for entry in old.entries}
         fresh = Baseline.from_findings(result.findings)
         for i, entry in enumerate(fresh.entries):
@@ -264,16 +201,11 @@ def run_from_args(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-lint",
-        description="Static analysis for the repro codebase "
-        "(concurrency, numeric hygiene, API drift, structure, domain "
-        "invariants, architecture, exception flow, dead exports).",
-    )
-    configure_parser(parser)
+    """Parse ``argv`` (default: ``sys.argv[1:]``), lint, return the exit code."""
+    # run_lint and Baseline.load report bad input (unknown rule id,
+    # malformed baseline) as ValueError: a usage error, exit 2.
     try:
-        args = parser.parse_args(argv)
-        return run_from_args(args)
+        return _run(_build_parser().parse_args(argv))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,7 @@ The pieces every rule shares:
 * :class:`Rule` -- the unit of analysis.  A rule sees the whole
   project (every parsed file plus the :class:`~repro.devtools.project.
   ProjectModel`) and yields :class:`Finding` objects, so whole-program
-  rules (lock graphs, API drift) and per-file rules use one interface.
+  rules (lock graphs, dead exports) and per-file rules use one interface.
 """
 
 from __future__ import annotations
@@ -139,9 +139,9 @@ class Rule:
     * ``"global"`` -- findings may depend on anything, including files
       outside the lint set; any change reruns the rule everywhere.
 
-    Rules whose output also depends on non-linted files (docs, tests)
-    declare them via :meth:`external_inputs`; the cache hashes those
-    too.
+    Rules whose output also depends on non-linted files (tests,
+    benchmarks, examples) declare them via :meth:`external_inputs`;
+    the cache hashes those too.
     """
 
     id: str = ""
@@ -182,15 +182,8 @@ def register(rule_class: Type[Rule]) -> Type[Rule]:
 def all_rules() -> Dict[str, Type[Rule]]:
     """The registered rules, importing the built-in rule modules once."""
     # Imported lazily so `core` has no circular dependency on the rules.
-    from repro.devtools import (  # noqa: F401
-        rules_api,
-        rules_concurrency,
-        rules_numeric,
-        rules_structure,
-    )
+    from repro.devtools import rules_concurrency, rules_numeric  # noqa: F401
     from repro.devtools.analysis import (  # noqa: F401
-        rules_arch,
-        rules_crossproc,
         rules_deadcode,
         rules_domain,
         rules_durability,

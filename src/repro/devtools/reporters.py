@@ -1,5 +1,5 @@
 """Reporters: render a lint run as text.  No printing here -- the CLI
-owns the output stream (rule ST02 applies to this package too)."""
+owns the output stream."""
 
 from __future__ import annotations
 

@@ -157,7 +157,7 @@ def run_lint(
         paths: files and/or directories to lint.
         project_root: repository root; defaults to the current
             directory.  Relative finding paths, the baseline, and the
-            API-drift targets resolve against it.
+            dead-export reference roots resolve against it.
         baseline_path: baseline JSON file (missing file = empty
             baseline; None = no baselining).
         select: rule ids to run (None = all registered rules).

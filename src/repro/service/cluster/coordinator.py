@@ -183,33 +183,18 @@ class ClusterCoordinator:
         self._started = time.monotonic()
 
         m = self.metrics
-        self._m_latency = m.histogram(
-            "repro_ingest_latency_seconds", "Wall time spent per submit() call."
-        )
-        self._m_accepted = m.counter(
-            "repro_ratings_accepted_total", "Ratings acked (WAL-logged and queued)."
-        )
-        self._m_rejected = m.counter(
-            "repro_ratings_rejected_total",
-            "Ratings refused at worker ingest (aggregated across workers).",
-        )
-        self._m_refits = m.counter(
-            "repro_ar_refits_total",
-            "Streaming AR model evaluations (aggregated across workers).",
-        )
-        self._m_flagged = m.counter(
-            "repro_windows_flagged_total",
-            "Suspicious window verdicts (aggregated across workers).",
-        )
-        self._m_trust_updates = m.counter(
-            "repro_trust_updates_total", "Worker digests applied (Procedure 2 runs)."
-        )
-        self._m_fsync = m.histogram(
-            "repro_wal_fsync_seconds", "Duration of ingest-WAL fsync calls."
-        )
-        self._m_wal_segments = m.gauge(
-            "repro_wal_segments", "Ingest-WAL segment files currently on disk."
-        )
+        # Help texts come from metrics.SHARED_FAMILIES.  Acks and the
+        # ingest WAL are the coordinator's own; rejections, refits and
+        # flags mirror worker totals; trust updates count applied
+        # worker digests.
+        self._m_latency = m.histogram("repro_ingest_latency_seconds")
+        self._m_accepted = m.counter("repro_ratings_accepted_total")
+        self._m_rejected = m.counter("repro_ratings_rejected_total")
+        self._m_refits = m.counter("repro_ar_refits_total")
+        self._m_flagged = m.counter("repro_windows_flagged_total")
+        self._m_trust_updates = m.counter("repro_trust_updates_total")
+        self._m_fsync = m.histogram("repro_wal_fsync_seconds")
+        self._m_wal_segments = m.gauge("repro_wal_segments")
         self._m_queue_depth = [
             m.gauge(
                 "repro_ingest_queue_depth",

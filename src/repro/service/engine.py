@@ -248,24 +248,13 @@ class RatingEngine:
         self._recovering = False
 
         m = self.metrics
-        self._m_latency = m.histogram(
-            "repro_ingest_latency_seconds", "Wall time spent per submit() call."
-        )
-        self._m_accepted = m.counter(
-            "repro_ratings_accepted_total", "Ratings accepted (and WAL-logged)."
-        )
-        self._m_rejected = m.counter(
-            "repro_ratings_rejected_total", "Ratings refused at ingest."
-        )
-        self._m_refits = m.counter(
-            "repro_ar_refits_total", "Streaming AR model evaluations."
-        )
-        self._m_flagged = m.counter(
-            "repro_windows_flagged_total", "Suspicious window verdicts emitted."
-        )
-        self._m_trust_updates = m.counter(
-            "repro_trust_updates_total", "Trust manager flushes (Procedure 2 runs)."
-        )
+        # Help texts for these come from metrics.SHARED_FAMILIES.
+        self._m_latency = m.histogram("repro_ingest_latency_seconds")
+        self._m_accepted = m.counter("repro_ratings_accepted_total")
+        self._m_rejected = m.counter("repro_ratings_rejected_total")
+        self._m_refits = m.counter("repro_ar_refits_total")
+        self._m_flagged = m.counter("repro_windows_flagged_total")
+        self._m_trust_updates = m.counter("repro_trust_updates_total")
         self._m_score_hits = m.counter(
             "repro_score_cache_hits_total",
             "score() calls answered from the incremental aggregate cache.",
@@ -274,12 +263,8 @@ class RatingEngine:
             "repro_score_cache_misses_total",
             "score() calls that re-aggregated the product's ratings.",
         )
-        self._m_fsync = m.histogram(
-            "repro_wal_fsync_seconds", "Duration of WAL fsync calls."
-        )
-        self._m_wal_segments = m.gauge(
-            "repro_wal_segments", "WAL segment files currently on disk."
-        )
+        self._m_fsync = m.histogram("repro_wal_fsync_seconds")
+        self._m_wal_segments = m.gauge("repro_wal_segments")
         self._m_store_hot = m.gauge(
             "repro_store_hot_ratings", "Ratings resident in the hot storage tier."
         )

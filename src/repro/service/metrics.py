@@ -30,6 +30,31 @@ DEFAULT_BUCKETS = (
     0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
 )
 
+#: The families both serving tiers expose -- the in-process engine and
+#: the cluster coordinator -- declared once so the two ``/metrics``
+#: pages describe them identically.  name -> (type, help text); the
+#: registry supplies the help text and rejects any other type.  A
+#: coordinator times its own ingest WAL and mirrors worker totals into
+#: the counters it cannot observe directly.
+SHARED_FAMILIES: Dict[str, Tuple[str, str]] = {
+    "repro_ingest_latency_seconds": (
+        "histogram", "Wall time spent per submit() call."
+    ),
+    "repro_ratings_accepted_total": (
+        "counter", "Ratings accepted (WAL-logged before the ack)."
+    ),
+    "repro_ratings_rejected_total": ("counter", "Ratings refused at ingest."),
+    "repro_ar_refits_total": ("counter", "Streaming AR model evaluations."),
+    "repro_windows_flagged_total": (
+        "counter", "Suspicious window verdicts emitted."
+    ),
+    "repro_trust_updates_total": (
+        "counter", "Trust manager flushes (Procedure 2 runs)."
+    ),
+    "repro_wal_fsync_seconds": ("histogram", "Duration of WAL fsync calls."),
+    "repro_wal_segments": ("gauge", "WAL segment files currently on disk."),
+}
+
 
 def _format_value(value: float) -> str:
     """Prometheus-style number formatting (integers without a dot)."""
@@ -228,6 +253,12 @@ class MetricsRegistry:
     # -- creation ---------------------------------------------------------
 
     def _family(self, name: str, metric_type: str, help_text: str) -> _Family:
+        if name in SHARED_FAMILIES:
+            shared_type, help_text = SHARED_FAMILIES[name]
+            if shared_type != metric_type:
+                raise ConfigurationError(
+                    f"metric {name!r} is a shared {shared_type}, not {metric_type}"
+                )
         with self._lock:
             family = self._families.get(name)
             if family is None:

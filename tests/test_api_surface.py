@@ -1,9 +1,10 @@
 """Meta-tests on the public API surface.
 
 Guards the packaging hygiene a downstream user depends on: every name
-in an ``__all__`` is importable, every public item carries a docstring,
-the top-level package re-exports what the README promises, and the
-experiment registry stays in sync with the CLI.
+in an ``__all__`` is importable, declared in the export table below and
+documented in ``docs/API_GUIDE.md``, every public item carries a
+docstring, the top-level package re-exports what the README promises,
+and the experiment registry stays in sync with the CLI.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -102,7 +105,6 @@ def test_registry_names_are_cli_safe():
 
 def test_version_consistency():
     import tomllib
-    from pathlib import Path
 
     pyproject = Path(repro.__file__).resolve().parents[2] / "pyproject.toml"
     if not pyproject.exists():  # installed without the source tree
@@ -111,10 +113,11 @@ def test_version_consistency():
     assert data["project"]["version"] == repro.__version__
 
 
-# The exact public surface, module by module.  Adding an export
-# without updating this table (and docs/API_GUIDE.md) is flagged by
-# `repro lint` rule AD01; this test keeps the table honest in the
-# other direction.
+API_GUIDE = Path(__file__).resolve().parents[1] / "docs" / "API_GUIDE.md"
+
+# The exact public surface, module by module.  Adding an export means
+# updating this table and the export index in docs/API_GUIDE.md; the
+# test below checks both.
 EXPECTED_EXPORTS = {
     "repro": [
         "ARModel",
@@ -458,4 +461,13 @@ def test_export_surface_is_exactly_declared(module_name):
     assert actual == EXPECTED_EXPORTS[module_name], (
         f"{module_name}.__all__ drifted from EXPECTED_EXPORTS; "
         "update this table and docs/API_GUIDE.md together"
+    )
+    guide = API_GUIDE.read_text(encoding="utf-8")
+    undocumented = [
+        name
+        for name in EXPECTED_EXPORTS[module_name]
+        if not re.search(r"\b" + re.escape(name) + r"\b", guide)
+    ]
+    assert not undocumented, (
+        f"{module_name} exports {undocumented} missing from docs/API_GUIDE.md"
     )

@@ -1,19 +1,17 @@
 """Tests for the whole-program analysis engine (repro.devtools.analysis).
 
-Covers the interval domain and contract registry, the four new rule
-families (DI domain invariants, AR architecture, EX exception flow,
-DX dead exports), the incremental content-hash cache, the new CLI
-modes (``--strict``, ``--changed``), and the runtime domain-boundary
-fixes the DI rules surfaced in ``repro.aggregation`` and
-``repro.trust``.
+Covers the interval domain and contract registry, the whole-program
+rule families (DI domain invariants, EX exception flow, DX dead
+exports, DP durability protocol, SD serialization contracts), the
+incremental content-hash cache, ``--strict``, and the runtime
+domain-boundary fixes the DI rules surfaced in ``repro.aggregation``
+and ``repro.trust``.
 """
 
 from __future__ import annotations
 
 import ast
 import json
-import shutil
-import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +32,6 @@ from repro.devtools.analysis.intervals import (
     fraction_interval,
     point,
 )
-from repro.devtools.analysis.rules_arch import LAYERS, subpackage_layer
 from repro.devtools.cli import main as lint_main
 from repro.devtools.runner import run_lint
 from repro.errors import ConfigurationError, EmptyWindowError
@@ -343,108 +340,6 @@ class TestDomainRules:
 
 
 # ---------------------------------------------------------------------------
-# AR: architecture
-# ---------------------------------------------------------------------------
-
-
-class TestArchRules:
-    def test_layer_map_and_lookup(self):
-        assert subpackage_layer("repro.trust.records") == (2, "domain")
-        assert subpackage_layer("repro.service.http") == (4, "application")
-        assert subpackage_layer("repro") == (5, "interface")
-        assert subpackage_layer("numpy") is None
-        names = {name for _, name in LAYERS.values()}
-        assert names == {
-            "foundation",
-            "primitives",
-            "domain",
-            "composition",
-            "application",
-            "interface",
-        }
-
-    def test_ar01_flags_upward_import(self, tmp_path):
-        write(tmp_path, "src/repro/__init__.py", '"""Fixture root."""\n')
-        write(tmp_path, "src/repro/trust/__init__.py", '"""Fixture."""\n')
-        write(
-            tmp_path,
-            "src/repro/trust/uplink.py",
-            '"""Layer 2 reaching into layer 4."""\n\n'
-            "import repro.service.http\n",
-        )
-        findings = lint(tmp_path, select={"AR01"}).active_findings()
-        assert len(findings) == 1
-        assert "domain, layer 2" in findings[0].message
-        assert "application, layer 4" in findings[0].message
-
-    def test_ar01_allows_downward_and_external_imports(self, tmp_path):
-        write(tmp_path, "src/repro/__init__.py", '"""Fixture root."""\n')
-        write(
-            tmp_path,
-            "src/repro/trust/good.py",
-            '"""Layer 2 importing down and out."""\n\n'
-            "import json\n"
-            "import repro.errors\n"
-            "from repro.signal import windows\n",
-        )
-        assert lint(tmp_path, select={"AR01"}).active_findings() == []
-
-    def test_ar01_fences_devtools_both_ways(self, tmp_path):
-        write(tmp_path, "src/repro/__init__.py", '"""Fixture root."""\n')
-        write(
-            tmp_path,
-            "src/repro/trust/leak.py",
-            '"""Runtime module importing the linter."""\n\n'
-            "from repro.devtools import run_lint\n",
-        )
-        write(
-            tmp_path,
-            "src/repro/devtools/leak.py",
-            '"""Linter importing runtime code."""\n\n'
-            "from repro.trust import records\n",
-        )
-        findings = lint(tmp_path, select={"AR01"}).active_findings()
-        messages = " | ".join(f.message for f in findings)
-        assert len(findings) == 2
-        assert "only the interface layer" in messages
-        assert "linter must not depend" in messages
-
-    def test_ar02_flags_top_level_cycle(self, tmp_path):
-        write(
-            tmp_path,
-            "pkgc/x.py",
-            '"""Cycle member."""\n\nimport pkgc.y\n',
-        )
-        write(
-            tmp_path,
-            "pkgc/y.py",
-            '"""Cycle member."""\n\nimport pkgc.x\n',
-        )
-        findings = lint(tmp_path, select={"AR02"}).active_findings()
-        assert len(findings) == 2
-        assert all("import cycle" in f.message for f in findings)
-        assert {f.path for f in findings} == {"pkgc/x.py", "pkgc/y.py"}
-
-    def test_ar02_lazy_import_breaks_the_cycle(self, tmp_path):
-        write(
-            tmp_path,
-            "pkgc/x.py",
-            '"""Eager half."""\n\nimport pkgc.y\n',
-        )
-        write(
-            tmp_path,
-            "pkgc/y.py",
-            '"""Lazy half: the sanctioned way to break a cycle."""\n\n\n'
-            "def late():\n"
-            '    """Imports only when called."""\n'
-            "    import pkgc.x\n"
-            "    return pkgc.x\n\n\n"
-            "LATE = late\n",
-        )
-        assert lint(tmp_path, select={"AR02"}).active_findings() == []
-
-
-# ---------------------------------------------------------------------------
 # EX: exception flow
 # ---------------------------------------------------------------------------
 
@@ -594,17 +489,12 @@ class TestDeadCodeRules:
 
 class TestEffectRuleRegistration:
     def test_new_families_are_registered_under_their_ids(self):
-        from repro.devtools.analysis.rules_crossproc import (
-            BlockingFileLockRule,
-            SpawnUnderLockRule,
-        )
         from repro.devtools.analysis.rules_durability import (
             AtomicReplaceRule,
             OrderingContractRule,
             UnflushedWriteRule,
         )
         from repro.devtools.analysis.rules_serialization import (
-            NewKeyDefaultRule,
             StateKeySymmetryRule,
             VersionUpgradePathRule,
         )
@@ -616,9 +506,6 @@ class TestEffectRuleRegistration:
         assert catalog["DP03"] is UnflushedWriteRule
         assert catalog["SD01"] is StateKeySymmetryRule
         assert catalog["SD02"] is VersionUpgradePathRule
-        assert catalog["SD03"] is NewKeyDefaultRule
-        assert catalog["CC04"] is BlockingFileLockRule
-        assert catalog["CC05"] is SpawnUnderLockRule
 
 
 _DIR_FSYNC = (
@@ -793,108 +680,6 @@ class TestSerializationRules:
         result = lint(tmp_path, select={"SD02"})
         assert result.active_findings() == []
 
-    def test_sd03_flags_strict_read_of_new_key(self, tmp_path):
-        _seed_acceptance_fixture(tmp_path)
-        result = lint(tmp_path, select={"SD03"})
-        findings = result.active_findings()
-        assert [f.path for f in findings] == ["src/repro/service/snapkeys.py"]
-        assert "'extras'" in findings[0].message
-        assert ".get" in findings[0].message
-
-    def test_sd03_defaulted_read_is_clean(self, tmp_path):
-        _seed_acceptance_fixture(tmp_path)
-        snapkeys = tmp_path / "src/repro/service/snapkeys.py"
-        text = snapkeys.read_text()
-        snapkeys.write_text(
-            text.replace(
-                'self.extras = list(state["extras"])',
-                'self.extras = list(state.get("extras", []))',
-            )
-        )
-        result = lint(tmp_path, select={"SD03"})
-        assert result.active_findings() == []
-
-
-# ---------------------------------------------------------------------------
-# CC04-CC05: cross-process lock rules
-# ---------------------------------------------------------------------------
-
-
-class TestCrossProcessRules:
-    def test_cc04_flags_blocking_flock_under_lock(self, tmp_path):
-        _seed_acceptance_fixture(tmp_path)
-        result = lint(tmp_path, select={"CC04"})
-        findings = result.active_findings()
-        assert [f.path for f in findings] == ["src/repro/service/procfix.py"]
-        assert "LOCK_NB" in findings[0].message
-
-    def test_cc04_nonblocking_flock_is_clean(self, tmp_path):
-        _seed_acceptance_fixture(tmp_path)
-        procfix = tmp_path / "src/repro/service/procfix.py"
-        procfix.write_text(
-            procfix.read_text().replace(
-                "fcntl.flock(fd, fcntl.LOCK_EX)",
-                "fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)",
-            )
-        )
-        result = lint(tmp_path, select={"CC04"})
-        assert result.active_findings() == []
-
-    def test_cc04_sees_flock_through_a_callee(self, tmp_path):
-        write(
-            tmp_path,
-            "pkg/locks.py",
-            "import fcntl\n"
-            "import threading\n\n\n"
-            "def grab(fd):\n"
-            "    fcntl.flock(fd, fcntl.LOCK_EX)\n\n\n"
-            "class Owner:\n"
-            "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n\n"
-            "    def attach(self, fd):\n"
-            "        with self._lock:\n"
-            "            grab(fd)\n",
-        )
-        result = lint(tmp_path, select={"CC04"})
-        findings = result.active_findings()
-        assert len(findings) == 1
-        assert "reaches a blocking fcntl lock" in findings[0].message
-
-    def test_cc05_flags_fork_under_lock(self, tmp_path):
-        _seed_acceptance_fixture(tmp_path)
-        result = lint(tmp_path, select={"CC05"})
-        findings = result.active_findings()
-        assert [f.path for f in findings] == ["src/repro/service/procfix.py"]
-        assert "os.fork" in findings[0].message
-
-    def test_cc05_fork_without_lock_is_clean(self, tmp_path):
-        write(
-            tmp_path,
-            "pkg/spawn.py",
-            "import os\n\n\n"
-            "def run_child():\n"
-            "    return os.fork()\n",
-        )
-        result = lint(tmp_path, select={"CC05"})
-        assert result.active_findings() == []
-
-    def test_cc05_flags_spawn_after_flock_in_same_function(self, tmp_path):
-        write(
-            tmp_path,
-            "pkg/spawn.py",
-            "import fcntl\n"
-            "import os\n"
-            "import subprocess\n\n\n"
-            "def locked_child(fd):\n"
-            "    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)\n"
-            '    subprocess.run(["true"])\n',
-        )
-        result = lint(tmp_path, select={"CC05"})
-        findings = result.active_findings()
-        assert len(findings) == 1
-        assert "inherits the locked fd" in findings[0].message
-
-
 # ---------------------------------------------------------------------------
 # Effect summaries and the incremental cache
 # ---------------------------------------------------------------------------
@@ -969,13 +754,6 @@ def _seed_acceptance_fixture(root: Path) -> None:
         "    trust = 1.5\n"
         "    return trust\n\n\n"
         "PROMOTE = promote\n",
-    )
-    # AR01: a layering violation (domain -> application).
-    write(
-        root,
-        "src/repro/trust/uplink.py",
-        '"""Upward-import fixture."""\n\n'
-        "import repro.service.http\n",
     )
     # EX01: a non-ReproError escaping an HTTP handler.
     write(
@@ -1085,63 +863,11 @@ def _seed_acceptance_fixture(root: Path) -> None:
         '        self.hot = list(state["hot"])\n\n\n'
         "VERSIONED = Versioned\n",
     )
-    # SD03: a key introduced in v2 loaded strictly (no default).
-    write(
-        root,
-        "src/repro/service/snapkeys.py",
-        '"""New-key-without-default fixture."""\n\n'
-        "__effect_contracts__ = {\n"
-        '    "state_keys_since": {"Keyed": {"extras": 2}},\n'
-        "}\n\n\n"
-        "class Keyed:\n"
-        '    """Strictly loads a key that v1 snapshots do not have."""\n\n'
-        "    def __init__(self):\n"
-        "        self.base = []\n"
-        "        self.extras = []\n\n"
-        "    def state_dict(self):\n"
-        '        """Serialized state (format v2)."""\n'
-        "        return {\n"
-        '            "version": 2,\n'
-        '            "base": list(self.base),\n'
-        '            "extras": list(self.extras),\n'
-        "        }\n\n"
-        "    def load_state(self, state):\n"
-        '        """Restores from a snapshot."""\n'
-        '        version = int(state.get("version", 1))\n'
-        "        if version < 2:\n"
-        "            state = dict(state)\n"
-        '        self.base = list(state["base"])\n'
-        '        self.extras = list(state["extras"])\n\n\n'
-        "KEYED = Keyed\n",
-    )
-    # CC04 + CC05: blocking flock and fork while a lock is held.
-    write(
-        root,
-        "src/repro/service/procfix.py",
-        '"""Fork/flock-under-lock fixture."""\n\n'
-        "import fcntl\n"
-        "import os\n"
-        "import threading\n\n\n"
-        "class Spawner:\n"
-        '    """Holds its lock across cross-process operations."""\n\n'
-        "    def __init__(self):\n"
-        "        self._lock = threading.Lock()\n\n"
-        "    def attach(self, fd):\n"
-        '        """Takes the file lock while the instance lock is held."""\n'
-        "        with self._lock:\n"
-        "            fcntl.flock(fd, fcntl.LOCK_EX)\n\n"
-        "    def spawn(self):\n"
-        '        """Forks while the instance lock is held."""\n'
-        "        with self._lock:\n"
-        "            return os.fork()\n\n\n"
-        "SPAWNER = Spawner\n",
-    )
 
 
 class TestAcceptanceFixture:
     EXPECTED = {
         ("DI02", "src/repro/trust/records.py"),
-        ("AR01", "src/repro/trust/uplink.py"),
         ("EX01", "src/repro/service/http.py"),
         ("DX01", "src/repro/trust/dead.py"),
         ("DP01", "src/repro/service/walx.py"),
@@ -1149,9 +875,6 @@ class TestAcceptanceFixture:
         ("DP02", "src/repro/service/ackflow.py"),
         ("SD01", "src/repro/service/snapstate.py"),
         ("SD02", "src/repro/service/snapver.py"),
-        ("SD03", "src/repro/service/snapkeys.py"),
-        ("CC04", "src/repro/service/procfix.py"),
-        ("CC05", "src/repro/service/procfix.py"),
     }
 
     def test_exactly_the_seeded_findings(self, tmp_path):
@@ -1171,7 +894,7 @@ class TestAcceptanceFixture:
         for rule, path in self.EXPECTED:
             assert rule in out
             assert path in out
-        assert "12 finding(s)" in out
+        assert "8 finding(s)" in out
 
     def test_json_reporter_shows_all_families(self, tmp_path, capsys):
         _seed_acceptance_fixture(tmp_path)
@@ -1185,7 +908,7 @@ class TestAcceptanceFixture:
         )
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["active_count"] == 12
+        assert payload["active_count"] == 8
         got = {(f["rule"], f["path"]) for f in payload["findings"]}
         assert got == self.EXPECTED
         assert payload["cache_status"] == "cold"
@@ -1205,7 +928,7 @@ class TestAcceptanceFixture:
         assert payload["version"] == "2.1.0"
         run = payload["runs"][0]
         catalog = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-        assert {"DP01", "DP02", "DP03", "SD01", "SD02", "SD03", "CC04", "CC05"} <= catalog
+        assert {"DP01", "DP02", "DP03", "SD01", "SD02"} <= catalog
         got = {
             (
                 entry["ruleId"],
@@ -1353,7 +1076,7 @@ class TestIncrementalCache:
 
 
 # ---------------------------------------------------------------------------
-# CLI: --strict and --changed
+# CLI: --strict
 # ---------------------------------------------------------------------------
 
 
@@ -1382,54 +1105,6 @@ class TestStrictMode:
         assert lint_main([str(mod)] + root + ["--update-baseline"]) == 0
         assert lint_main([str(mod)] + root + ["--strict"]) == 0
         capsys.readouterr()
-
-
-@pytest.mark.skipif(shutil.which("git") is None, reason="git unavailable")
-class TestChangedMode:
-    @staticmethod
-    def _git(root: Path, *args: str) -> None:
-        subprocess.run(
-            ["git", "-c", "user.email=t@example.com", "-c", "user.name=t"]
-            + list(args),
-            cwd=str(root),
-            check=True,
-            capture_output=True,
-        )
-
-    def _repo(self, root: Path) -> None:
-        write(root, "good.py", "X = 1\n")
-        write(root, "bad.py", "Y = 2\n")
-        self._git(root, "init", "-q")
-        self._git(root, "add", ".")
-        self._git(root, "commit", "-qm", "init")
-
-    def test_changed_lints_only_modified_files(self, tmp_path, capsys):
-        self._repo(tmp_path)
-        (tmp_path / "bad.py").write_text(_NH01_FIXTURE)
-        code = lint_main(
-            ["--changed", "--project-root", str(tmp_path), "--format=json"]
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 1
-        assert payload["files_checked"] == 1
-        assert {f["path"] for f in payload["findings"]} == {"bad.py"}
-
-    def test_changed_with_clean_tree_exits_zero(self, tmp_path, capsys):
-        self._repo(tmp_path)
-        code = lint_main(["--changed", "--project-root", str(tmp_path)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "no changed python files" in out
-
-    def test_changed_picks_up_untracked_files(self, tmp_path, capsys):
-        self._repo(tmp_path)
-        write(tmp_path, "fresh.py", _NH01_FIXTURE)
-        code = lint_main(
-            ["--changed", "--project-root", str(tmp_path), "--format=json"]
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 1
-        assert {f["path"] for f in payload["findings"]} == {"fresh.py"}
 
 
 # ---------------------------------------------------------------------------

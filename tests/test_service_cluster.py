@@ -28,7 +28,7 @@ from repro.service.cluster.framing import recv_msg, send_msg
 from repro.service.config import ServiceConfig
 from repro.service.engine import RatingEngine
 from repro.service.http import start_background
-from repro.service.metrics import MetricsRegistry
+from repro.service.metrics import SHARED_FAMILIES, MetricsRegistry
 
 
 def make_stream(n=300, n_products=6, n_raters=10, seed=11):
@@ -299,6 +299,31 @@ class TestWorkerCrashRecovery:
             reopened.flush()
         finally:
             reopened.close()
+
+
+@pytest.mark.slow
+def test_both_tiers_describe_shared_families_identically(tmp_path):
+    """The engine and the coordinator render the same # HELP / # TYPE
+    lines for every family in the shared catalog."""
+
+    def header_lines(text):
+        return [
+            line
+            for line in text.splitlines()
+            if line.startswith(("# HELP ", "# TYPE "))
+            and line.split()[2] in SHARED_FAMILIES
+        ]
+
+    engine = RatingEngine(ServiceConfig(wal_dir=str(tmp_path / "engine")))
+    cluster = ClusterCoordinator(cluster_config(tmp_path / "cluster", workers=1))
+    try:
+        engine_lines = header_lines(engine.metrics.render())
+        cluster_lines = header_lines(cluster.render_metrics())
+    finally:
+        cluster.close()
+        engine.close()
+    assert len(engine_lines) == 2 * len(SHARED_FAMILIES)
+    assert engine_lines == cluster_lines
 
 
 # -- HTTP integration -------------------------------------------------------

@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.service.metrics import MetricsRegistry
+from repro.service.metrics import SHARED_FAMILIES, MetricsRegistry
 
 
 class TestCounter:
@@ -29,6 +29,20 @@ class TestCounter:
         registry.counter("thing")
         with pytest.raises(ConfigurationError):
             registry.gauge("thing")
+
+
+class TestSharedFamilies:
+    def test_catalog_supplies_the_help_text(self):
+        registry = MetricsRegistry()
+        registry.counter("repro_ratings_accepted_total", "Ignored.")
+        _, help_text = SHARED_FAMILIES["repro_ratings_accepted_total"]
+        text = registry.render()
+        assert f"# HELP repro_ratings_accepted_total {help_text}" in text
+        assert "Ignored." not in text
+
+    def test_wrong_type_for_a_shared_family_raises(self):
+        with pytest.raises(ConfigurationError, match="shared histogram"):
+            MetricsRegistry().counter("repro_wal_fsync_seconds")
 
 
 class TestGauge:
