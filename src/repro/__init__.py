@@ -22,125 +22,107 @@ See the ``examples/`` directory for full scenarios and ``repro list``
 on the command line for the paper's experiments.
 """
 
-from repro._version import __version__
-from repro.aggregation import (
-    BetaFunctionAggregator,
-    ModifiedWeightedAverage,
-    PlainWeightedAverage,
-    SimpleAverage,
-    SunTrustModelAggregator,
-)
-from repro.attacks import (
-    CamouflageCampaign,
-    CollusionCampaign,
-    DutyCycleCampaign,
-    RampCampaign,
-    estimate_trace_statistics,
-    inject_campaign,
-    required_colluders,
-)
-from repro.core import TrustEnhancedRatingSystem
-from repro.data import DINOSAUR_PLANET, NetflixTraceConfig, generate_netflix_trace
-from repro.detectors import (
-    ARModelErrorDetector,
-    OnlineARDetector,
-    ClusteringDetector,
-    EndorsementDetector,
-    EntropyChangeDetector,
-    SuspicionReport,
-)
-from repro.errors import ReproError
-from repro.evaluation import monte_carlo, rater_detection, rating_detection
-from repro.filters import BetaQuantileFilter, IQRFilter, NullFilter, ZScoreFilter
-from repro.ratings import (
-    ELEVEN_LEVEL,
-    FIVE_STAR,
-    TEN_LEVEL,
-    Product,
-    RaterClass,
-    RaterProfile,
-    Rating,
-    RatingScale,
-    RatingStore,
-    RatingStream,
-)
-from repro.service import (
-    MetricsRegistry,
-    RatingEngine,
-    ServiceConfig,
-    SubmitResult,
-    WriteAheadLog,
-)
-from repro.signal import ARModel, arburg, arcov, aryule
-from repro.simulation import (
-    IllustrativeConfig,
-    MarketplaceConfig,
-    PipelineConfig,
-    generate_illustrative,
-    generate_marketplace,
-    run_marketplace,
-)
-from repro.trust import TrustManager, TrustManagerConfig, TrustRecord, beta_trust
+from importlib import import_module
 
-__all__ = [
-    "__version__",
-    "BetaFunctionAggregator",
-    "ModifiedWeightedAverage",
-    "PlainWeightedAverage",
-    "SimpleAverage",
-    "SunTrustModelAggregator",
-    "CamouflageCampaign",
-    "CollusionCampaign",
-    "DutyCycleCampaign",
-    "RampCampaign",
-    "estimate_trace_statistics",
-    "inject_campaign",
-    "required_colluders",
-    "TrustEnhancedRatingSystem",
-    "DINOSAUR_PLANET",
-    "NetflixTraceConfig",
-    "generate_netflix_trace",
-    "ARModelErrorDetector",
-    "OnlineARDetector",
-    "ClusteringDetector",
-    "EndorsementDetector",
-    "EntropyChangeDetector",
-    "SuspicionReport",
-    "ReproError",
-    "monte_carlo",
-    "rater_detection",
-    "rating_detection",
-    "BetaQuantileFilter",
-    "IQRFilter",
-    "NullFilter",
-    "ZScoreFilter",
-    "ELEVEN_LEVEL",
-    "FIVE_STAR",
-    "TEN_LEVEL",
-    "Product",
-    "RaterClass",
-    "RaterProfile",
-    "Rating",
-    "RatingScale",
-    "RatingStore",
-    "RatingStream",
-    "ARModel",
-    "arburg",
-    "arcov",
-    "aryule",
-    "IllustrativeConfig",
-    "MarketplaceConfig",
-    "PipelineConfig",
-    "generate_illustrative",
-    "generate_marketplace",
-    "run_marketplace",
-    "TrustManager",
-    "TrustManagerConfig",
-    "TrustRecord",
-    "beta_trust",
-    "MetricsRegistry",
-    "RatingEngine",
-    "ServiceConfig",
-    "SubmitResult",
-    "WriteAheadLog",
-]
+from repro._version import __version__
+
+# Public name -> defining module.  Names resolve on first attribute
+# access (PEP 562), so ``import repro`` -- and every ``repro.service``
+# process, which imports the package first -- stays numpy-only until a
+# caller asks for the research stack (scipy, networkx, simulations).
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "repro.aggregation": (
+            "BetaFunctionAggregator",
+            "ModifiedWeightedAverage",
+            "PlainWeightedAverage",
+            "SimpleAverage",
+            "SunTrustModelAggregator",
+        ),
+        "repro.attacks": (
+            "CamouflageCampaign",
+            "CollusionCampaign",
+            "DutyCycleCampaign",
+            "RampCampaign",
+            "estimate_trace_statistics",
+            "inject_campaign",
+            "required_colluders",
+        ),
+        "repro.core": ("TrustEnhancedRatingSystem",),
+        "repro.data": (
+            "DINOSAUR_PLANET",
+            "NetflixTraceConfig",
+            "generate_netflix_trace",
+        ),
+        "repro.detectors": (
+            "ARModelErrorDetector",
+            "OnlineARDetector",
+            "ClusteringDetector",
+            "EndorsementDetector",
+            "EntropyChangeDetector",
+            "SuspicionReport",
+        ),
+        "repro.errors": ("ReproError",),
+        "repro.evaluation": ("monte_carlo", "rater_detection", "rating_detection"),
+        "repro.filters": (
+            "BetaQuantileFilter",
+            "IQRFilter",
+            "NullFilter",
+            "ZScoreFilter",
+        ),
+        "repro.ratings": (
+            "ELEVEN_LEVEL",
+            "FIVE_STAR",
+            "TEN_LEVEL",
+            "Product",
+            "RaterClass",
+            "RaterProfile",
+            "Rating",
+            "RatingScale",
+            "RatingStore",
+            "RatingStream",
+        ),
+        "repro.signal": ("ARModel", "arburg", "arcov", "aryule"),
+        "repro.simulation": (
+            "IllustrativeConfig",
+            "MarketplaceConfig",
+            "PipelineConfig",
+            "generate_illustrative",
+            "generate_marketplace",
+            "run_marketplace",
+        ),
+        "repro.trust": (
+            "TrustManager",
+            "TrustManagerConfig",
+            "TrustRecord",
+            "beta_trust",
+        ),
+        "repro.service": (
+            "MetricsRegistry",
+            "RatingEngine",
+            "ServiceConfig",
+            "SubmitResult",
+            "WriteAheadLog",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(import_module(module), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

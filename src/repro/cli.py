@@ -22,10 +22,42 @@ import time
 from typing import List, Optional
 
 from repro.errors import ReproError
-from repro.experiments import REGISTRY
 from repro.reporting import dump_json
 
 __all__ = ["main", "build_parser"]
+
+
+def _registry() -> dict:
+    """The experiment registry, imported only by ``run`` and ``list``.
+
+    ``serve``/``replay`` (and every spawned cluster worker, which
+    re-imports this module) never load the experiment stack.
+    """
+    from repro.experiments import REGISTRY
+
+    return REGISTRY
+
+
+def __getattr__(name: str):
+    # PEP 562: ``repro.cli.REGISTRY`` stays reachable without an eager import.
+    if name == "REGISTRY":
+        return _registry()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+class _ExperimentChoices:
+    """``choices`` for ``repro run`` that reads the registry on first use.
+
+    argparse only iterates ``choices`` to format a default metavar or an
+    "invalid choice" error, so with an explicit metavar building the
+    parser stays registry-free.
+    """
+
+    def __contains__(self, name: object) -> bool:
+        return name in _registry()
+
+    def __iter__(self):
+        return iter(sorted(_registry()))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,8 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser = sub.add_parser("run", help="run one experiment")
     run_parser.add_argument(
         "experiment",
-        choices=sorted(REGISTRY),
-        help="which paper artifact to reproduce",
+        choices=_ExperimentChoices(),
+        metavar="experiment",
+        help="which paper artifact to reproduce (see `repro list`)",
     )
     run_parser.add_argument("--seed", type=int, default=0, help="master seed")
     run_parser.add_argument(
@@ -218,7 +251,7 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _run_experiment(args: argparse.Namespace) -> str:
-    runner, reporter, _ = REGISTRY[args.experiment]
+    runner, reporter, _ = _registry()[args.experiment]
     kwargs = {"seed": args.seed}
     if args.runs is not None and args.experiment in (
         "detection", "table1", "baselines", "adaptive-attacks", "sensitivity", "vouching", "individual-unfair"
@@ -353,9 +386,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "replay":
             return _run_replay(args)
         if args.command == "list" or args.command is None:
+            registry = _registry()
             print("available experiments:")
-            for name in sorted(REGISTRY):
-                print(f"  {name:<12} {REGISTRY[name][2]}")
+            for name in sorted(registry):
+                print(f"  {name:<12} {registry[name][2]}")
             return 0
         print(_run_experiment(args))
         return 0

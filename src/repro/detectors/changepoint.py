@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import List
 
 import numpy as np
-from scipy import stats
 
 from repro.detectors.base import SuspicionDetector, SuspicionReport, WindowVerdict
 from repro.errors import ConfigurationError
@@ -152,6 +151,8 @@ class VarianceRatioDetector(SuspicionDetector):
         reference = float(np.median(variances))
         if reference <= 1e-12:
             return SuspicionReport(stream=stream)
+        from scipy import stats
+
         df = windows[0].size - 1
         critical = float(stats.f.ppf(self.alpha, df, df))
         verdicts: List[WindowVerdict] = []

@@ -25,12 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Tuple
 
 from repro.detectors.base import SuspicionReport
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["CollusionGroups", "build_cosuspicion_graph", "extract_groups"]
 
@@ -79,6 +80,8 @@ def build_cosuspicion_graph(
         the number of reports in which the pair co-occurred in a
         flagged window.
     """
+    import networkx as nx
+
     graph = nx.Graph()
     n_windows = 0
     for report in reports:
@@ -127,6 +130,8 @@ def extract_groups(
         raise ConfigurationError(
             f"min_group_size must be >= 2, got {min_group_size}"
         )
+    import networkx as nx
+
     strong = nx.Graph()
     for a, b, data in graph.edges(data=True):
         if data.get("weight", 0) >= min_edge_weight:

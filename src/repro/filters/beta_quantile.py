@@ -33,7 +33,6 @@ moderate-bias collusion (the motivation for the AR detector).
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ConfigurationError
 from repro.filters.base import FilterResult, RatingFilter
@@ -120,6 +119,8 @@ class BetaQuantileFilter(RatingFilter):
             lo = float(np.quantile(values, q))
             hi = float(np.quantile(values, 1.0 - q))
             return lo, hi
+        from scipy import stats
+
         alpha, beta = moment_matched_beta(values)
         # A shape parameter below 1 makes the corresponding extreme a
         # mode of the fit -- the extreme IS the majority there, so the

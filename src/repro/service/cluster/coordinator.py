@@ -1004,7 +1004,6 @@ class ClusterCoordinator:
                 str(rid): {
                     "successes": record.successes,
                     "failures": record.failures,
-                    "history": list(record.history),
                 }
                 for rid, record in (
                     (rid, self.trust_manager.record(rid))
@@ -1034,7 +1033,6 @@ class ClusterCoordinator:
                 record = self.trust_manager.register_rater(int(rid_str))
                 record.successes = float(record_state["successes"])
                 record.failures = float(record_state["failures"])
-                record.history = [float(v) for v in record_state["history"]]
             self._suspicion_totals = {
                 int(k): float(v)
                 for k, v in state.get("suspicion_totals", {}).items()

@@ -590,9 +590,11 @@ class RatingEngine:
         bumps the trust epoch so stale score-cache entries are dropped.
         Called with each delegate reply, and by the cluster worker when
         the coordinator pushes the current table after (re)connect.
+        The caller passes a fresh ``{int: float}`` table (the worker
+        decodes each JSON reply once) and the engine keeps it as is.
         """
         with self._trust_lock:
-            self._trust_mirror = {int(k): float(v) for k, v in table.items()}
+            self._trust_mirror = table
             self._trust_epoch += 1
 
     def _trust_value(self, rater_id: int) -> float:
@@ -765,7 +767,6 @@ class RatingEngine:
                 str(rid): {
                     "successes": record.successes,
                     "failures": record.failures,
-                    "history": list(record.history),
                 }
                 for rid, record in (
                     (rid, self.trust_manager.record(rid))
@@ -848,7 +849,6 @@ class RatingEngine:
                 record = self.trust_manager.register_rater(int(rid_str))
                 record.successes = float(record_state["successes"])
                 record.failures = float(record_state["failures"])
-                record.history = [float(v) for v in record_state["history"]]
             self._suspicion_totals = {
                 int(k): float(v) for k, v in state["suspicion_totals"].items()
             }

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import SignalModelError
 from repro.signal.levinson import autocorrelation_sequence
@@ -68,6 +67,8 @@ def ljung_box(x: np.ndarray, lags: int = 10, alpha: float = 0.05) -> LjungBoxRes
         A :class:`LjungBoxResult`.  A *small* p-value means the series
         is serially correlated -- i.e. a suspicious rating window.
     """
+    from scipy import stats
+
     x = np.asarray(x, dtype=float).ravel()
     n = x.size
     if n < 4:

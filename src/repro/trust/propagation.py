@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-import networkx as nx
-
 from repro.errors import ConfigurationError
 from repro.trust.entropy_trust import concatenate, entropy_trust, multipath
 
@@ -38,6 +36,8 @@ class RecommendationGraph:
             raise ConfigurationError(
                 f"max_path_length must be >= 1, got {max_path_length}"
             )
+        import networkx as nx
+
         self.max_path_length = int(max_path_length)
         self._graph = nx.DiGraph()
         self._graph.add_node(SYSTEM_NODE)
@@ -73,6 +73,8 @@ class RecommendationGraph:
 
     def paths_to(self, target_id: int) -> List[Sequence[int]]:
         """All simple paths SYSTEM -> target up to the length cap."""
+        import networkx as nx
+
         if target_id not in self._graph:
             return []
         return list(

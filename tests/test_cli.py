@@ -75,6 +75,64 @@ class TestMain:
         assert "model error" in capsys.readouterr().out
 
 
+class TestStartupImports:
+    def test_serve_import_cone_is_numpy_only(self):
+        # Spawned cluster workers re-import repro.__main__; serve/replay
+        # and every worker must start without the offline research stack.
+        proc = _python(
+            [
+                "-c",
+                "import sys\n"
+                "from repro.cli import build_parser\n"
+                "build_parser()\n"
+                "import repro.__main__\n"
+                "import repro.service.cluster.worker\n"
+                "import repro.service.http\n"
+                "heavy = ('scipy', 'networkx', 'repro.experiments',"
+                " 'repro.simulation', 'repro.devtools')\n"
+                "print(sorted(m for m in sys.modules"
+                " if any(m == h or m.startswith(h + '.') for h in heavy)))",
+            ]
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_lazy_package_surface(self):
+        proc = _python(
+            [
+                "-c",
+                "import repro\n"
+                "namespace = {}\n"
+                "exec('from repro import *', namespace)\n"
+                "missing = [n for n in repro.__all__ if n not in namespace]\n"
+                "assert not missing, missing\n"
+                "assert set(repro.__all__) <= set(dir(repro))\n"
+                "try:\n"
+                "    repro.no_such_name\n"
+                "except AttributeError as exc:\n"
+                "    print('AttributeError', exc)\n",
+            ]
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("AttributeError")
+        assert "no_such_name" in proc.stdout
+
+    def test_list_output_is_unchanged(self):
+        proc = _python(["-m", "repro", "list"])
+        assert proc.returncode == 0, proc.stderr
+        expected = "available experiments:\n" + "".join(
+            f"  {name:<12} {REGISTRY[name][2]}\n" for name in sorted(REGISTRY)
+        )
+        assert proc.stdout == expected
+
+    def test_unknown_experiment_lists_the_choices(self):
+        proc = _python(["-m", "repro", "run", "nosuch"])
+        assert proc.returncode == 2
+        assert "invalid choice: 'nosuch'" in proc.stderr
+        for name in REGISTRY:
+            assert repr(name) in proc.stderr
+
+
 class TestLintSubcommand:
     def test_build_parser_does_not_import_the_linter(self):
         # serve/replay launches build the parser; they must not pay for

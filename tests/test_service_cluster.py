@@ -207,6 +207,24 @@ class TestClusterEquivalence:
         finally:
             reopened.close()
 
+    def test_coordinator_snapshot_size_is_flat_in_flushes(self, tmp_path):
+        """The coordinator snapshot persists bounded trust state: four
+        times the flushes over the same raters do not grow it."""
+        stream = make_stream(n=1200)
+        cluster = ClusterCoordinator(cluster_config(tmp_path, workers=1))
+        try:
+            for rating in stream[:300]:
+                cluster.submit(rating)
+            cluster.flush()
+            early = cluster.snapshot().stat().st_size
+            for rating in stream[300:]:
+                cluster.submit(rating)
+            cluster.flush()
+            late = cluster.snapshot().stat().st_size
+        finally:
+            cluster.close()
+        assert late < 1.1 * early
+
     def test_worker_resize_is_rejected(self, tmp_path):
         cluster = ClusterCoordinator(cluster_config(tmp_path, workers=2))
         for rating in make_stream(n=40):

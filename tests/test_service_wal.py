@@ -229,6 +229,38 @@ class TestSnapshots:
         assert latest_snapshot(tmp_path).name == "snapshot-000000000200.json"
         assert len(list_snapshots(tmp_path)) == 3
 
+    def test_snapshot_size_is_flat_in_flushes(self, tmp_path):
+        """Snapshots hold bounded state: over a fixed rater set, four
+        times the flushes leave the file size flat (no per-rater,
+        per-flush trust history is persisted)."""
+        stream = make_stream(1600, seed=3)
+        engine = RatingEngine(ServiceConfig(wal_dir=str(tmp_path), **BASE))
+        engine.submit_many(stream[:400])
+        engine.flush()
+        early = engine.snapshot().stat().st_size
+        engine.submit_many(stream[400:])
+        engine.flush()
+        late = engine.snapshot().stat().st_size
+        engine.close()
+        assert late < 1.1 * early
+
+    def test_snapshot_with_trust_history_still_loads(self, tmp_path):
+        """Older v3 snapshots persisted each record's trust history;
+        recovery ignores the key and restores the same trust."""
+        engine = RatingEngine(ServiceConfig(wal_dir=str(tmp_path), **BASE))
+        engine.submit_many(make_stream(120, seed=4))
+        engine.flush()
+        path = engine.snapshot()
+        trust = engine.trust_table()
+        engine.close()
+        state = json.loads(path.read_text())
+        for record in state["trust"].values():
+            record["history"] = [0.5, 0.6]
+        path.write_text(json.dumps(state))
+        recovered = RatingEngine.recover(tmp_path)
+        assert recovered.trust_table() == trust
+        recovered.close()
+
     def test_missing_wal_position_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
             write_snapshot(tmp_path, {"no_position": 1})
