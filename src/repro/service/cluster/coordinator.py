@@ -15,8 +15,10 @@ and trust updates happen asynchronously in the worker
 backpressure, not unbounded memory.
 
 **Trust** is coordinator-side: workers send per-flush digests
-(provided counts, combined suspicion, flagged counts) and receive the
-authoritative post-update trust table in reply.  Digests carry the
+(provided counts, combined suspicion, flagged counts) to the
+coordinator's :class:`~repro.service.ledger.TrustLedger` -- the same
+code the in-process engine applies its own digests with -- and receive
+the authoritative post-update trust table in reply.  Digests carry the
 worker's deterministic flush counter, so redelivered digests after a
 crash are recognized and skipped while the reply still refreshes the
 worker's read mirror.
@@ -61,6 +63,7 @@ from repro.service.cluster.ring import ConsistentHashRing
 from repro.service.cluster.worker import worker_main
 from repro.service.config import ServiceConfig
 from repro.service.engine import SubmitResult
+from repro.service.ledger import TrustLedger
 from repro.service.metrics import MetricsRegistry
 from repro.service.wal import (
     WriteAheadLog,
@@ -71,7 +74,6 @@ from repro.service.wal import (
     replay_wal,
     write_snapshot,
 )
-from repro.trust.manager import TrustManager, TrustManagerConfig
 
 __all__ = ["ClusterCoordinator"]
 
@@ -103,9 +105,8 @@ class _WorkerHandle:
     """Coordinator-side state for one worker process.
 
     Credit-window fields (``sent``/``processed``/``busy``) are guarded
-    by the ``credit`` condition; ``digest_seq`` by the coordinator's
-    trust lock; the rest is mutated only under the route/restart locks
-    or before the worker is visible.
+    by the ``credit`` condition; the rest is mutated only under the
+    route/restart locks or before the worker is visible.
     """
 
     def __init__(self, index: int, depth: int) -> None:
@@ -120,7 +121,6 @@ class _WorkerHandle:
         self.busy = False  # sender holds a popped, unsent batch
         self.discard = False  # drop queued entries (redelivery owns them)
         self.watermark = -1  # highest coordinator seq worker durably holds
-        self.digest_seq = 0  # last trust digest applied (trust lock)
         self.hello = threading.Event()
         self.up = False
         self.reader: Optional[threading.Thread] = None
@@ -138,17 +138,12 @@ class ClusterCoordinator:
             per-worker queue depth and liveness, ingest WAL fsyncs).
 
     The constructor doubles as recovery: if the coordinator
-    subdirectory holds a snapshot, trust state and per-worker digest
-    dedup seqs are restored from it, workers recover their own engines
-    from their WAL subdirectories, and the handshake's watermark
-    exchange redelivers whatever the workers missed.
+    subdirectory holds a snapshot, the trust ledger (including the
+    per-worker digest dedup seqs) is restored from it, workers recover
+    their own engines from their WAL subdirectories, and the
+    handshake's watermark exchange redelivers whatever the workers
+    missed.
     """
-
-    _GUARDED_BY = {
-        "trust_manager": "_trust_lock",
-        "_suspicion_totals": "_trust_lock",
-        "_n_trust_updates": "_trust_lock",
-    }
 
     def __init__(
         self,
@@ -164,16 +159,8 @@ class ClusterCoordinator:
         self.config = config
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.ring = ConsistentHashRing(config.cluster_workers)
-        self.trust_manager = TrustManager(
-            config=TrustManagerConfig(
-                badness_weight=config.trust_badness_weight,
-                detection_threshold=config.trust_detection_threshold,
-                forgetting_factor=config.trust_forgetting_factor,
-            )
-        )
-        self._trust_lock = threading.Lock()
-        self._suspicion_totals: Dict[int, float] = {}
-        self._n_trust_updates = 0
+        # Digest origins are worker indexes.
+        self._ledger = TrustLedger(config)
         self._route_lock = threading.RLock()
         self._restart_lock = threading.Lock()
         self._rpc_ids = itertools.count(1)
@@ -225,6 +212,7 @@ class ClusterCoordinator:
                     f"{config.cluster_workers} workers is not supported "
                     f"(the hash ring would reroute owned products)"
                 )
+            self._ledger.load_state(state)
         self.wal: WriteAheadLog = WriteAheadLog(
             coordinator_dir,
             fsync_every=config.cluster_ack_fsync_every,
@@ -238,8 +226,6 @@ class ClusterCoordinator:
             _WorkerHandle(i, config.cluster_queue_depth)
             for i in range(config.cluster_workers)
         ]
-        if state is not None:
-            self._load_snapshot_state(state)
 
         # AF_UNIX socket in a private temp dir: path length stays under
         # the sockaddr_un limit no matter how deep wal_dir nests.
@@ -385,11 +371,7 @@ class ClusterCoordinator:
     def _welcome(self, handle: _WorkerHandle) -> None:
         """Push the current trust table so a recovered worker's read
         mirror is warm before it serves a single score."""
-        with self._trust_lock:
-            table = {
-                str(rid): value
-                for rid, value in self.trust_manager.trust_table().items()
-            }
+        table = self._ledger.trust_table()
         with handle.send_lock:
             send_msg(handle.conn, {"type": "welcome", "table": table})
 
@@ -508,38 +490,14 @@ class ClusterCoordinator:
     def _apply_digest(
         self, handle: _WorkerHandle, digest: dict, conn: Connection
     ) -> None:
-        """Procedure-2 update from one worker flush digest.
+        """Apply one worker flush digest and reply with the trust table.
 
-        Application order matches the in-process engine's
-        ``_flush_locked`` exactly (provided, then suspicion values, then
-        flagged counts, then ``update()``), which is what makes a
-        single-worker cluster bit-for-bit equal to the in-process
-        engine.  Digests at or below the worker's last applied seq are
-        replays after a crash: skipped, but still answered with the
-        current table so the worker's mirror refreshes.
+        Redelivered digests (replays after a crash) change nothing but
+        are still answered, so the worker's mirror refreshes.
         """
-        seq = int(digest["seq"])
-        with self._trust_lock:
-            if seq > handle.digest_seq:
-                observations = self.trust_manager.observations
-                for rid, count in digest["provided"].items():
-                    observations.record_provided(int(rid), int(count))
-                for rid, value in digest["suspicion"].items():
-                    observations.record_suspicion_value(int(rid), float(value))
-                    key = int(rid)
-                    self._suspicion_totals[key] = (
-                        self._suspicion_totals.get(key, 0.0) + float(value)
-                    )
-                for rid, count in digest["flagged"].items():
-                    observations.record_suspicious(int(rid), int(count))
-                self.trust_manager.update()
-                handle.digest_seq = seq
-                self._n_trust_updates += 1
-                self._m_trust_updates.inc()
-            table = {
-                str(rid): value
-                for rid, value in self.trust_manager.trust_table().items()
-            }
+        new, table = self._ledger.apply(digest, handle.index)
+        if new:
+            self._m_trust_updates.inc()
         with handle.send_lock:
             send_msg(conn, {"type": "trust", "table": table})
 
@@ -820,23 +778,19 @@ class ClusterCoordinator:
 
     def trust(self, rater_id: int) -> float:
         """Current trust in a rater (authoritative, coordinator-side)."""
-        with self._trust_lock:
-            return self.trust_manager.trust(rater_id)
+        return self._ledger.trust(rater_id)
 
     def trust_table(self) -> Dict[int, float]:
         """rater_id -> trust for every rater with a record."""
-        with self._trust_lock:
-            return dict(self.trust_manager.trust_table())
+        return self._ledger.trust_table()
 
     def detected_malicious(self) -> List[int]:
         """Raters currently below the detection threshold."""
-        with self._trust_lock:
-            return self.trust_manager.detected_malicious()
+        return self._ledger.detected_malicious()
 
     def suspicion_table(self) -> Dict[int, float]:
         """rater_id -> combined suspicion mass ever applied via digests."""
-        with self._trust_lock:
-            return dict(self._suspicion_totals)
+        return self._ledger.suspicion_table()
 
     def _await_workers(self, deadline: float) -> None:
         """Block until every worker is up (a restart may be in flight).
@@ -877,30 +831,34 @@ class ClusterCoordinator:
                 if all(h.up for h in self._handles) or time.monotonic() > deadline:
                     raise
 
+    def _merge_ensembles(self, per_worker: List[dict]) -> dict:
+        """One ensemble view from per-worker ones: config from the
+        first, ``n_evictions`` summed per source."""
+        if not per_worker:
+            return {"combiner": self.config.ensemble_combiner, "sources": {}}
+        merged = per_worker[0]
+        for stats in per_worker[1:]:
+            for name, source in stats["sources"].items():
+                merged["sources"][name]["n_evictions"] += source["n_evictions"]
+        return merged
+
     def ensemble_stats(self) -> dict:
         """Merged detector-ensemble config + counters across workers."""
-        merged: Optional[dict] = None
+        per_worker = []
         for handle in self._handles:
             if not handle.up:
                 continue
             try:
-                stats = self._rpc(handle, "ensemble")["value"]
+                per_worker.append(self._rpc(handle, "ensemble")["value"])
             except ReproError:
                 continue
-            if merged is None:
-                merged = stats
-            else:
-                for name, source in stats["sources"].items():
-                    merged["sources"][name]["n_evictions"] += source["n_evictions"]
-        if merged is None:
-            merged = {"combiner": self.config.ensemble_combiner, "sources": {}}
-        return merged
+        return self._merge_ensembles(per_worker)
 
     def snapshot_stats(self) -> dict:
         """Cluster-wide counters: coordinator view + per-worker stats."""
         workers = []
         totals = {"evaluations": 0, "flagged": 0, "rejected": 0, "products": 0}
-        ensemble: Optional[dict] = None
+        ensembles = []
         for handle in self._handles:
             entry: dict = {"worker": handle.index, "up": handle.up}
             if handle.up:
@@ -914,26 +872,14 @@ class ClusterCoordinator:
                     totals["flagged"] += int(stats["windows_flagged"])
                     totals["rejected"] += int(stats["n_rejected"])
                     totals["products"] += int(stats["n_products"])
-                    worker_ensemble = stats.get("ensemble")
-                    if worker_ensemble is not None:
-                        if ensemble is None:
-                            ensemble = worker_ensemble
-                        else:
-                            for name, source in worker_ensemble["sources"].items():
-                                ensemble["sources"][name]["n_evictions"] += (
-                                    source["n_evictions"]
-                                )
+                    ensembles.append(stats["ensemble"])
             workers.append(entry)
         self._m_rejected.inc_to(totals["rejected"])
         self._m_flagged.inc_to(totals["flagged"])
         self._m_refits.inc_to(totals["evaluations"])
         uptime = time.monotonic() - self._started
-        with self._trust_lock:
-            n_raters = len(self.trust_manager.rater_ids)
-            trust_updates = self._n_trust_updates
         accepted = self.n_accepted
-        if ensemble is None:
-            ensemble = {"combiner": self.config.ensemble_combiner, "sources": {}}
+        n_raters, trust_updates = self._ledger.counts()
         return {
             "uptime_seconds": uptime,
             "n_accepted": accepted,
@@ -946,7 +892,7 @@ class ClusterCoordinator:
             "trust_updates": trust_updates,
             "ratings_per_second": accepted / uptime if uptime > 0 else 0.0,
             "workers": workers,
-            "ensemble": ensemble,
+            "ensemble": self._merge_ensembles(ensembles),
             "wal_entries": self.wal.n_entries,
         }
 
@@ -999,47 +945,12 @@ class ClusterCoordinator:
     # -- durability -----------------------------------------------------------
 
     def _state_dict(self) -> dict:
-        with self._trust_lock:
-            trust_state = {
-                str(rid): {
-                    "successes": record.successes,
-                    "failures": record.failures,
-                }
-                for rid, record in (
-                    (rid, self.trust_manager.record(rid))
-                    for rid in self.trust_manager.rater_ids
-                )
-            }
-            suspicion_state = {
-                str(rid): value for rid, value in self._suspicion_totals.items()
-            }
-            digest_seqs = {
-                str(handle.index): handle.digest_seq for handle in self._handles
-            }
-            n_trust_updates = self._n_trust_updates
         return {
             "version": 1,
             "config": self.config.to_dict(),
             "wal_position": self.wal.n_entries,
-            "n_trust_updates": n_trust_updates,
-            "trust": trust_state,
-            "suspicion_totals": suspicion_state,
-            "digest_seqs": digest_seqs,
+            **self._ledger.state_dict(),
         }
-
-    def _load_snapshot_state(self, state: dict) -> None:
-        with self._trust_lock:
-            for rid_str, record_state in state["trust"].items():
-                record = self.trust_manager.register_rater(int(rid_str))
-                record.successes = float(record_state["successes"])
-                record.failures = float(record_state["failures"])
-            self._suspicion_totals = {
-                int(k): float(v)
-                for k, v in state.get("suspicion_totals", {}).items()
-            }
-            self._n_trust_updates = int(state.get("n_trust_updates", 0))
-            for index_str, seq in state.get("digest_seqs", {}).items():
-                self._handles[int(index_str)].digest_seq = int(seq)
 
     def snapshot(self) -> Path:
         """Cluster-wide two-phase snapshot; returns the coordinator's path.

@@ -3,8 +3,10 @@
 ``worker_main`` is the spawn target for one worker.  The worker owns a
 plain :class:`~repro.service.engine.RatingEngine` (its own
 WAL subdirectory and tiered store, its own detector ensemble) built in
-**trust-delegate mode**: every trust flush becomes a digest frame sent
-to the coordinator, whose reply is the authoritative trust table.
+**trust-delegate mode**: the engine has no trust ledger of its own;
+every trust flush becomes a digest frame sent to the coordinator's
+:class:`~repro.service.ledger.TrustLedger`, whose reply is the
+authoritative trust table the engine serves its reads from.
 
 Startup sequence (identical for a cold start and a post-crash
 restart, which is what makes supervision simple):

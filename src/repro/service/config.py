@@ -54,14 +54,12 @@ class ServiceConfig:
         detector_window: ratings per streaming analysis window.
         detector_stride: arrivals between AR refits.
         detector_method: AR estimator name (see ``repro.signal.ar``).
-        detector_scale: suspicion level charged per flagged rating.
-        detector_incremental: refit through the incremental
+            ``"covariance"`` refits through the incremental
             sliding-window normal equations
-            (:class:`~repro.signal.sliding.SlidingCovarianceFitter`)
-            instead of rebuilding the least-squares problem per
-            evaluation.  ``None`` (the default) enables it exactly
-            when ``detector_method`` is ``"covariance"``; ``True``
-            with another method is a configuration error.
+            (:class:`~repro.signal.sliding.SlidingCovarianceFitter`);
+            other methods rebuild the least-squares problem per
+            evaluation.
+        detector_scale: suspicion level charged per flagged rating.
         ensemble_sources: enabled online suspicion sources, by name
             (see :data:`repro.service.ensemble.SOURCE_NAMES`); order
             is the flush/combine order.  The default, ``("ar",)``,
@@ -145,7 +143,6 @@ class ServiceConfig:
     detector_stride: int = 5
     detector_method: str = "covariance"
     detector_scale: float = 1.0
-    detector_incremental: Optional[bool] = None
     ensemble_sources: Tuple[str, ...] = ("ar",)
     ensemble_weights: Optional[Tuple[float, ...]] = None
     ensemble_thresholds: Optional[Tuple[Optional[float], ...]] = None
@@ -247,7 +244,7 @@ class ServiceConfig:
             stride=self.detector_stride,
             method=self.detector_method,
             scale=self.detector_scale,
-            incremental=self.incremental_enabled,
+            incremental=self.detector_method == "covariance",
             max_raters_per_product=self.max_raters_per_product,
         )
         build_sources(self)
@@ -315,13 +312,6 @@ class ServiceConfig:
         if self.store_hot_window is not None:
             return int(self.store_hot_window)
         return max(2 * self.detector_window, 1)
-
-    @property
-    def incremental_enabled(self) -> bool:
-        """Resolved ``detector_incremental`` (auto = covariance only)."""
-        if self.detector_incremental is None:
-            return self.detector_method == "covariance"
-        return bool(self.detector_incremental)
 
     @property
     def source_weights(self) -> Dict[str, float]:

@@ -20,10 +20,12 @@ long-running, thread-safe serving component:
   :class:`~repro.service.ensemble.ar_source.ARSuspicionSource`).
 * **Batched trust updates** -- per-rater observations (ratings
   provided, suspicion charged by the sources) accumulate in the engine
-  and are flushed into the
-  :class:`~repro.trust.manager.TrustManager` every
-  ``batch_max_ratings`` ingests or ``batch_max_seconds`` of wall time,
-  amortizing Procedure 2 over many ratings.
+  and are flushed every ``batch_max_ratings`` ingests or
+  ``batch_max_seconds`` of wall time, amortizing Procedure 2 over many
+  ratings.  A flush is packaged as a digest and applied by a
+  :class:`~repro.service.ledger.TrustLedger` -- the engine's own, or
+  in a cluster worker the coordinator's -- and every trust read is
+  served from the table the ledger returned.
 * **Durability** -- accepted ratings are appended to a segmented
   write-ahead log *before* touching in-memory state; :meth:`snapshot`
   persists the bounded engine state (ensemble state included) and
@@ -56,6 +58,7 @@ from repro.service.config import ServiceConfig
 from repro.service.ensemble import build_sources
 from repro.service.ensemble.ar_source import ARSuspicionSource
 from repro.service.ensemble.base import COMBINERS, OnlineSuspicionSource
+from repro.service.ledger import TrustLedger
 from repro.service.metrics import MetricsRegistry
 from repro.service.wal import (
     WriteAheadLog,
@@ -66,7 +69,7 @@ from repro.service.wal import (
     replay_wal_meta,
     write_snapshot,
 )
-from repro.trust.manager import TrustManager, TrustManagerConfig
+from repro.trust.manager import TrustManager
 
 __all__ = ["RatingEngine", "SubmitResult"]
 
@@ -148,17 +151,18 @@ class RatingEngine:
             private registry is created when omitted (exposed as
             :attr:`metrics` either way).
         trust_delegate: when set, the engine runs in **cluster-worker
-            mode**: instead of applying trust flushes to its own
-            :class:`~repro.trust.manager.TrustManager`, each flush is
-            packaged as a digest dict (``seq``/``provided``/
-            ``suspicion``/``flagged``) and handed to this callable,
-            which must return the authoritative rater->trust table.
-            The returned table is installed as a read mirror serving
-            :meth:`trust`, :meth:`trust_table`, :meth:`score`
-            weighting, and :meth:`detected_malicious`.  Digest ``seq``
-            equals the engine's trust-update counter, which is
-            deterministic under WAL replay, so the receiver can
-            deduplicate redelivered digests after a crash.
+            mode**: it has no ledger of its own, and each flush digest
+            (see :mod:`repro.service.ledger`) is handed to this
+            callable, which must return the authoritative rater->trust
+            table.  Digest ``seq`` equals the engine's trust-update
+            counter, which is deterministic under WAL replay, so the
+            receiving ledger can deduplicate redelivered digests after
+            a crash.  Without a delegate the engine applies its digests
+            to its own :class:`~repro.service.ledger.TrustLedger`.
+
+    Either way the returned table is installed as the read mirror
+    serving :meth:`trust`, :meth:`trust_table`, :meth:`score`
+    weighting, and :meth:`detected_malicious`.
 
     Concurrency: ingest, flush, score reads, and the state capture of
     :meth:`snapshot` serialize on one engine lock (``_lock``), taken
@@ -181,10 +185,8 @@ class RatingEngine:
         "_n_rejected": "_lock",
         "_n_evaluations": "_lock",
         "_n_flagged": "_lock",
-        "trust_manager": "_trust_lock",
-        "_n_trust_updates": "_trust_lock",
+        "_n_trust_updates": "_lock",
         "_trust_epoch": "_trust_lock",
-        "_suspicion_totals": "_trust_lock",
         "_trust_mirror": "_trust_lock",
     }
 
@@ -197,30 +199,23 @@ class RatingEngine:
         self.config = config if config is not None else ServiceConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.aggregator = ModifiedWeightedAverage()
-        self.trust_manager = TrustManager(
-            config=TrustManagerConfig(
-                badness_weight=self.config.trust_badness_weight,
-                detection_threshold=self.config.trust_detection_threshold,
-                forgetting_factor=self.config.trust_forgetting_factor,
-            )
-        )
         self._lock = threading.RLock()
         self._trust_lock = threading.Lock()
-        self._trust_delegate = trust_delegate
-        # Cluster-worker mode: the last trust table the delegate
-        # returned (authoritative values live in the coordinator).
+        # A cluster worker has no ledger: its delegate ships digests to
+        # the coordinator's.
+        self._ledger = TrustLedger(self.config) if trust_delegate is None else None
+        self._trust_delegate = trust_delegate or self._apply_to_own_ledger
+        # The last trust table the ledger returned; serves every read.
         self._trust_mirror: Dict[int, float] = {}
         # Opaque client bookkeeping persisted with every snapshot; the
         # cluster worker records the coordinator sequence number it has
         # processed through here, so redelivery after recovery can skip
         # entries the snapshot already covers.
         self.client_meta: Dict[str, int] = {}
+        # Flushes so far; the next digest's seq is one more.
         self._n_trust_updates = 0
         self._combine = COMBINERS[self.config.ensemble_combiner]
         self._source_weights = self.config.source_weights
-        # Combined suspicion mass ever flushed per rater -- the
-        # engine-level detector statistic (see suspicion_table()).
-        self._suspicion_totals: Dict[int, float] = {}
         # Bumped on every trust flush: score-cache entries from older
         # epochs were aggregated under stale trusts and are invalid.
         self._trust_epoch = 0
@@ -460,7 +455,7 @@ class RatingEngine:
         self._since_flush += 1
         self._m_queue_depth.set(self._since_flush)
 
-        if self._recovering and self._trust_delegate is not None:
+        if self._recovering and self._ledger is None:
             # In delegate mode every flush leaves a control marker in
             # the WAL, and recovery replays flushes from those markers
             # alone; letting the cadence triggers fire here too would
@@ -482,7 +477,7 @@ class RatingEngine:
         Each source flushes its per-rater suspicion mass (timed into
         ``repro_ensemble_flush_seconds``); the configured combiner
         merges the masses; the merged mass plus the AR source's
-        flagged-rating counts feed the trust update.
+        flagged-rating counts form the digest the trust ledger applies.
         """
         if self._since_flush == 0:
             self._last_flush = time.monotonic()
@@ -503,59 +498,34 @@ class RatingEngine:
                     flagged_counts[rater_id] = (
                         flagged_counts.get(rater_id, 0) + count
                     )
-        combined = self._combine(per_source, self._source_weights)
-        if self._trust_delegate is not None:
-            # Cluster-worker mode: package the flush as a digest for
-            # the coordinator's trust manager instead of applying it
-            # locally.  The digest seq is this engine's deterministic
-            # trust-update counter, so a coordinator that already saw
-            # it (a replayed flush after recovery) can discard it while
-            # still replying with the current table.
-            with self._trust_lock:
-                self._n_trust_updates += 1
-                digest = {
-                    "seq": self._n_trust_updates,
-                    "provided": dict(self._pending_provided),
-                    "suspicion": dict(combined),
-                    "flagged": dict(flagged_counts),
-                }
-                for rater_id, value in combined.items():
-                    self._suspicion_totals[rater_id] = (
-                        self._suspicion_totals.get(rater_id, 0.0) + value
-                    )
-            # The digest's underlying WAL entries must be durable
-            # before the digest escapes the process: if the receiver
-            # applies it and we crash with an unfsynced tail, replay
-            # would regenerate a *different* digest under the same seq
-            # and the receiver's dedup would silently drop it.  The
-            # flush itself is recorded as a control marker so replay
-            # reproduces it at exactly this log position -- without
-            # the marker, recovery would re-accumulate the flushed
-            # tallies and re-use this digest's seq for different
-            # contents.
-            if self.wal is not None:
-                if not self._recovering:
-                    self.wal.append_control({"flush": 0})
-                self.wal.sync()
-            # The delegate call (an RPC in the cluster) runs outside
-            # _trust_lock so trust reads stay available meanwhile.
-            table = self._trust_delegate(digest)
-            self.install_trust_mirror(table)
-        else:
-            with self._trust_lock:
-                observations = self.trust_manager.observations
-                for rater_id, count in self._pending_provided.items():
-                    observations.record_provided(rater_id, count)
-                for rater_id, value in combined.items():
-                    observations.record_suspicion_value(rater_id, value)
-                    self._suspicion_totals[rater_id] = (
-                        self._suspicion_totals.get(rater_id, 0.0) + value
-                    )
-                for rater_id, count in flagged_counts.items():
-                    observations.record_suspicious(rater_id, count)
-                self.trust_manager.update()
-                self._n_trust_updates += 1
-                self._trust_epoch += 1
+        # The digest seq is this engine's deterministic trust-update
+        # counter, so a ledger that already saw it (a replayed flush
+        # after recovery) can discard it while still replying with the
+        # current table.
+        self._n_trust_updates += 1
+        digest = {
+            "seq": self._n_trust_updates,
+            "provided": self._pending_provided,
+            "suspicion": self._combine(per_source, self._source_weights),
+            "flagged": flagged_counts,
+        }
+        if self._ledger is None and self.wal is not None:
+            # Cluster-worker mode: the digest's underlying WAL entries
+            # must be durable before the digest escapes the process: if
+            # the receiver applies it and we crash with an unfsynced
+            # tail, replay would regenerate a *different* digest under
+            # the same seq and the receiver's dedup would silently drop
+            # it.  The flush itself is recorded as a control marker so
+            # replay reproduces it at exactly this log position --
+            # without the marker, recovery would re-accumulate the
+            # flushed tallies and re-use this digest's seq for
+            # different contents.
+            if not self._recovering:
+                self.wal.append_control({"flush": 0})
+            self.wal.sync()
+        # The delegate call (an RPC in the cluster) runs outside
+        # _trust_lock so trust reads stay available meanwhile.
+        self.install_trust_mirror(self._trust_delegate(digest))
         self._pending_provided = {}
         self._since_flush = 0
         self._last_flush = time.monotonic()
@@ -565,7 +535,7 @@ class RatingEngine:
             source.prune()
 
     def flush(self) -> None:
-        """Flush the pending observations into the trust manager."""
+        """Flush the pending observations into the trust ledger."""
         with self._lock:
             self._flush_locked()
 
@@ -582,16 +552,21 @@ class RatingEngine:
             with self._lock:
                 self._flush_locked()
 
+    def _apply_to_own_ledger(self, digest: dict) -> Dict[int, float]:
+        """The in-process trust delegate: the engine's ledger, origin 0."""
+        return self._own_ledger().apply(digest, 0)[1]
+
     def install_trust_mirror(self, table: Dict[int, float]) -> None:
-        """Install an authoritative trust table (cluster-worker mode).
+        """Install an authoritative trust table.
 
         Replaces the read mirror that serves :meth:`trust`,
         :meth:`score` weighting, and :meth:`detected_malicious`, and
         bumps the trust epoch so stale score-cache entries are dropped.
-        Called with each delegate reply, and by the cluster worker when
-        the coordinator pushes the current table after (re)connect.
-        The caller passes a fresh ``{int: float}`` table (the worker
-        decodes each JSON reply once) and the engine keeps it as is.
+        Called with each ledger reply, after a snapshot load, and by
+        the cluster worker when the coordinator pushes the current
+        table after (re)connect.  The caller passes a fresh
+        ``{int: float}`` table (the worker decodes each JSON reply
+        once) and the engine keeps it as is.
         """
         with self._trust_lock:
             self._trust_mirror = table
@@ -600,13 +575,16 @@ class RatingEngine:
     def _trust_value(self, rater_id: int) -> float:
         """Trust used for read paths; caller holds ``_trust_lock``.
 
-        In delegate (cluster-worker) mode the authoritative manager
-        lives in the coordinator, so reads come from the mirror of the
-        last table it sent (0.5 prior for raters not yet in it).
+        0.5 prior for raters not yet in the ledger's table.
         """
-        if self._trust_delegate is not None:
-            return self._trust_mirror.get(rater_id, 0.5)
-        return self.trust_manager.trust(rater_id)
+        return self._trust_mirror.get(rater_id, 0.5)
+
+    def _own_ledger(self) -> TrustLedger:
+        if self._ledger is None:
+            raise ConfigurationError(
+                "a cluster worker's trust ledger lives in the coordinator"
+            )
+        return self._ledger
 
     # -- queries -------------------------------------------------------------
 
@@ -681,29 +659,30 @@ class RatingEngine:
     def trust_table(self) -> Dict[int, float]:
         """rater_id -> trust for every rater with a record."""
         with self._trust_lock:
-            if self._trust_delegate is not None:
-                return dict(self._trust_mirror)
-            return dict(self.trust_manager.trust_table())
+            return dict(self._trust_mirror)
 
     def detected_malicious(self) -> List[int]:
         """Raters currently below the detection threshold."""
+        threshold = self.config.trust_detection_threshold
         with self._trust_lock:
-            if self._trust_delegate is not None:
-                threshold = self.config.trust_detection_threshold
-                return sorted(
-                    rid for rid, t in self._trust_mirror.items() if t < threshold
-                )
-            return self.trust_manager.detected_malicious()
+            return sorted(
+                rid for rid, t in self._trust_mirror.items() if t < threshold
+            )
 
     def suspicion_table(self) -> Dict[int, float]:
         """rater_id -> combined suspicion mass ever flushed.
 
         The engine-level detector statistic: what the ensemble has
         charged each rater with so far, after combining.  Pending
-        (unflushed) mass is not included.
+        (unflushed) mass is not included.  Kept by the ledger, so a
+        cluster worker has none (ask the coordinator).
         """
-        with self._trust_lock:
-            return dict(self._suspicion_totals)
+        return self._own_ledger().suspicion_table()
+
+    @property
+    def trust_manager(self) -> TrustManager:
+        """The engine's own ledger's trust manager (for inspection)."""
+        return self._own_ledger().trust_manager
 
     def ensemble_stats(self) -> dict:
         """Configuration and counters of the detector ensemble."""
@@ -742,17 +721,16 @@ class RatingEngine:
                 "pending": self._since_flush,
                 "ar_evaluations": self._n_evaluations,
                 "windows_flagged": self._n_flagged,
+                "trust_updates": self._n_trust_updates,
             }
         uptime = time.monotonic() - self._started
         with self._trust_lock:
-            n_raters = len(self.trust_manager.rater_ids)
-            trust_updates = self._n_trust_updates
+            n_raters = len(self._trust_mirror)
         return {
             "uptime_seconds": uptime,
             "n_accepted": accepted,
             **counters,
             "n_raters": n_raters,
-            "trust_updates": trust_updates,
             "ratings_per_second": accepted / uptime if uptime > 0 else 0.0,
             "ensemble": self.ensemble_stats(),
             "wal_entries": self.wal.n_entries if self.wal is not None else None,
@@ -762,21 +740,12 @@ class RatingEngine:
 
     def _state_dict(self) -> dict:
         """Bounded engine state (lock held)."""
-        with self._trust_lock:
-            trust_state = {
-                str(rid): {
-                    "successes": record.successes,
-                    "failures": record.failures,
-                }
-                for rid, record in (
-                    (rid, self.trust_manager.record(rid))
-                    for rid in self.trust_manager.rater_ids
-                )
-            }
-            suspicion_state = {
-                str(rid): value for rid, value in self._suspicion_totals.items()
-            }
-            n_trust_updates = self._n_trust_updates
+        ledger_state = (
+            self._ledger.state_dict()
+            if self._ledger is not None
+            # A cluster worker's trust lives in the coordinator.
+            else {"trust": {}, "suspicion_totals": {}}
+        )
         # With a WAL, the covered position is its true entry count --
         # delegate-mode flush markers occupy sequence numbers without
         # being accepted ratings, so the two counters can differ.
@@ -791,9 +760,8 @@ class RatingEngine:
             "n_rejected": self._n_rejected,
             "n_evaluations": self._n_evaluations,
             "n_flagged": self._n_flagged,
-            "n_trust_updates": n_trust_updates,
-            "trust": trust_state,
-            "suspicion_totals": suspicion_state,
+            **ledger_state,
+            "n_trust_updates": self._n_trust_updates,
             "client_meta": dict(self.client_meta),
             "sources": {
                 name: source.state_dict() for name, source in self._sources.items()
@@ -844,15 +812,10 @@ class RatingEngine:
         self._n_rejected = int(state["n_rejected"])
         self._n_evaluations = int(state["n_evaluations"])
         self._n_flagged = int(state["n_flagged"])
-        with self._trust_lock:
-            for rid_str, record_state in state["trust"].items():
-                record = self.trust_manager.register_rater(int(rid_str))
-                record.successes = float(record_state["successes"])
-                record.failures = float(record_state["failures"])
-            self._suspicion_totals = {
-                int(k): float(v) for k, v in state["suspicion_totals"].items()
-            }
-            self._n_trust_updates = int(state["n_trust_updates"])
+        self._n_trust_updates = int(state["n_trust_updates"])
+        if self._ledger is not None:
+            self._ledger.load_state(state)
+            self.install_trust_mirror(self._ledger.trust_table())
         self.client_meta = {
             str(k): int(v) for k, v in state["client_meta"].items()
         }

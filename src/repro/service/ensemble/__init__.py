@@ -70,7 +70,7 @@ def build_sources(config: "ServiceConfig") -> Dict[str, OnlineSuspicionSource]:
                 stride=config.detector_stride,
                 method=config.detector_method,
                 scale=config.detector_scale,
-                incremental=config.incremental_enabled,
+                incremental=config.detector_method == "covariance",
                 max_raters_per_product=config.max_raters_per_product,
             )
         elif name == "cograph":

@@ -118,9 +118,8 @@ class TrustManager:
             F_i += f_i + b * C_i
             S_i += n_i - f_i - s_i
 
-        Raters without observations keep their evidence but still get a
-        history checkpoint, so trust trajectories stay aligned across
-        raters.
+        Raters without observations keep their evidence (discounted by
+        the forgetting factor, if any).
 
         Returns:
             rater_id -> post-update trust for all known raters.
@@ -132,8 +131,6 @@ class TrustManager:
             failure_increment = obs.n_filtered + self.config.badness_weight * obs.suspicion_value
             success_increment = obs.n_provided - obs.n_filtered - obs.n_suspicious
             record.add_evidence(successes=success_increment, failures=failure_increment)
-        for record in self._records.values():
-            record.checkpoint()
         self._n_updates += 1
         return self.trust_table()
 

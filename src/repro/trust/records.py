@@ -11,8 +11,8 @@ honest rater may become compromised, and vice versa).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import Dict
 
 from repro.errors import ConfigurationError
 
@@ -34,20 +34,17 @@ def beta_trust(successes: float, failures: float) -> float:
 
 @dataclass
 class TrustRecord:
-    """Evidence and trust history for one rater.
+    """Beta-function evidence for one rater.
 
     Attributes:
         rater_id: the rater this record tracks.
         successes: accumulated fair-behaviour evidence ``S``.
         failures: accumulated unfair-behaviour evidence ``F``.
-        history: trust value recorded at each checkpoint (one entry per
-            trust-manager update).
     """
 
     rater_id: int
     successes: float = 0.0
     failures: float = 0.0
-    history: List[float] = field(default_factory=list)
 
     @property
     def trust(self) -> float:
@@ -70,12 +67,6 @@ class TrustRecord:
             raise ConfigurationError(f"forgetting factor must lie in [0, 1], got {factor}")
         self.successes *= factor
         self.failures *= factor
-
-    def checkpoint(self) -> float:
-        """Append the current trust to the history and return it."""
-        value = self.trust
-        self.history.append(value)
-        return value
 
 
 class RecordMaintenance:

@@ -178,6 +178,8 @@ class TestClusterEquivalence:
             assert cluster.detected_malicious() == reference.detected_malicious()
             for product_id in range(6):
                 assert cluster.score(product_id) == reference.score(product_id)
+            worker = cluster.snapshot_stats()["workers"][0]
+            assert worker["n_raters"] == reference.snapshot_stats()["n_raters"]
         finally:
             cluster.close()
 

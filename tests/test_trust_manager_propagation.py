@@ -62,15 +62,6 @@ class TestProcedure2:
         # S += 0, F += b * 0.5 = 1.0.
         assert manager.trust(1) == pytest.approx(1.0 / 3.0)
 
-    def test_update_checkpoints_all_known_raters(self):
-        manager = TrustManager()
-        manager.register_raters([1, 2])
-        manager.observations.record_provided(1)
-        manager.update()
-        manager.update()
-        assert len(manager.record(1).history) == 2
-        assert len(manager.record(2).history) == 2
-
     def test_evidence_accumulates_across_updates(self):
         manager = TrustManager()
         for _ in range(3):

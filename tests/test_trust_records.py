@@ -66,13 +66,6 @@ class TestTrustRecord:
         with pytest.raises(ConfigurationError):
             TrustRecord(rater_id=0).forget(1.5)
 
-    def test_checkpoint_appends_history(self):
-        record = TrustRecord(rater_id=0)
-        record.checkpoint()
-        record.add_evidence(successes=2, failures=0)
-        record.checkpoint()
-        assert record.history == [0.5, pytest.approx(0.75)]
-
 
 class TestRecordMaintenance:
     def test_new_record_neutral_by_default(self):
