@@ -216,15 +216,9 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         default="memory",
         choices=("memory", "tiered"),
         help=(
-            "rating storage backend: all-in-RAM lists, or sqlite cold "
-            "tier + numpy hot windows (flat memory at large histories)"
+            "rating storage backend: all-in-RAM lists, or rating rows "
+            "in sqlite on disk (flat memory at large histories)"
         ),
-    )
-    parser.add_argument(
-        "--hot-window",
-        type=int,
-        default=None,
-        help="tiered backend per-product hot-window size (default: 2x --window)",
     )
     parser.add_argument(
         "--wal-dir",
@@ -290,7 +284,6 @@ def _build_engine(args: argparse.Namespace):
         ),
         ensemble_combiner=args.combiner,
         store_backend=args.store,
-        store_hot_window=args.hot_window,
         wal_dir=args.wal_dir,
         wal_segment_entries=args.segment_entries,
         wal_gc=not args.no_wal_gc,

@@ -4,7 +4,7 @@
 substitute; this module extracts the part of it that actually holds
 rating rows into a :class:`RatingStoreBackend` interface so the
 serving tier can swap the all-in-RAM default for the tiered
-sqlite/numpy implementation (:mod:`repro.ratings.tiered`) without any
+sqlite implementation (:mod:`repro.ratings.tiered`) without any
 caller noticing.
 
 The split is deliberate: product and rater *registries* stay in
@@ -95,10 +95,9 @@ class RatingStoreBackend(abc.ABC):
         """Release backing resources (no-op default)."""
 
     def stats(self) -> dict:
-        """Storage telemetry: tier sizes, buffering, backing path."""
+        """Storage telemetry: durable and buffered row counts, backing path."""
         return {
             "backend": self.name,
-            "hot_ratings": self.n_ratings,
             "cold_ratings": 0,
             "pending_ratings": 0,
         }

@@ -8,8 +8,8 @@ the rating rows -- to a :class:`~repro.ratings.backend.RatingStoreBackend`:
 * :class:`~repro.ratings.backend.InMemoryBackend` (the default)
   keeps everything in Python lists, exactly the historical behavior;
 * :class:`~repro.ratings.tiered.TieredRatingBackend` holds full
-  history in sqlite with per-product numpy hot windows, so resident
-  memory stays flat while histories grow.
+  history in sqlite on disk, so resident memory stays flat while
+  histories grow.
 
 Either way the store indexes ratings by product and by rater and
 hands out :class:`~repro.ratings.stream.RatingStream` views for

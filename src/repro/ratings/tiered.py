@@ -1,27 +1,23 @@
-"""Tiered rating storage: sqlite cold tier + numpy hot windows.
+"""Durable rating storage: the full rating history in sqlite.
 
 The in-memory rating store keeps every rating as a Python object
 forever, so a long-running service's resident memory -- and the cost
 of anything that walks full history -- grows without bound.
-:class:`TieredRatingBackend` bounds that by splitting storage into two
-tiers, the "quality repository" shape the paper's MySQL-backed
-simulator (and related reputation systems) assume:
+:class:`TieredRatingBackend` bounds that by keeping the bounded part
+of the rating database (product and rater registries, in
+:class:`~repro.ratings.store.RatingStore`) in RAM and moving the
+unbounded part -- the rating rows -- to disk, the "quality repository"
+shape the paper's MySQL-backed simulator (and related reputation
+systems) assume.  The rows live in an sqlite3 database (stdlib, one
+file per engine), keyed by their global write-ahead-log sequence
+number, so recovery can line the database up against a WAL suffix
+exactly.
 
-* **Cold tier** -- the full rating history in an sqlite3 database
-  (stdlib, one file per engine shard).  Rows are keyed by their global
-  write-ahead-log sequence number, so recovery can line the database
-  up against a WAL suffix exactly.  Inserts are buffered and committed
-  in batches; a commit is durable (``synchronous=FULL``), which is
-  what makes it safe for the serving tier to garbage-collect WAL
-  segments older than the last snapshot.
-* **Hot tier** -- per product, a fixed-capacity ring buffer backed by
-  a numpy structured array (40 bytes/rating, no per-object overhead)
-  holding the newest ratings.  Detector-sized reads of young products
-  are served from it without touching sqlite.
-
-Reads that need more than the hot window (full-history aggregation,
-per-rater streams) flush the insert buffer and query sqlite; reads
-fully covered by a product's hot window never leave RAM.
+Inserts are buffered and committed in batches of
+:data:`COMMIT_EVERY`; a commit is durable (``synchronous=FULL``),
+which is what makes it safe for the serving tier to garbage-collect
+WAL segments older than the last snapshot.  Every read flushes the
+insert buffer and queries sqlite, so reads always see every write.
 """
 
 from __future__ import annotations
@@ -29,37 +25,24 @@ from __future__ import annotations
 import sqlite3
 import threading
 from pathlib import Path
-from typing import Dict, List, Optional, Union
-
-import numpy as np
+from typing import List, Optional, Union
 
 from repro.errors import ConfigurationError
 from repro.ratings.backend import RatingStoreBackend
 from repro.ratings.models import Rating
 
-__all__ = ["TieredRatingBackend", "HOT_DTYPE"]
+__all__ = ["TieredRatingBackend"]
 
-# Domain contracts checked by `repro lint` (rule family DI): tier
-# capacities and batch sizes are positive counts; sequence positions
-# are non-negative.
+# Domain contracts checked by `repro lint` (rule family DI): sequence
+# positions are non-negative.
 __lint_contracts__ = {
-    "TieredRatingBackend.__init__": {
-        "params": {"hot_window": "[1, inf)", "commit_every": "[1, inf)"},
-    },
     "TieredRatingBackend.truncate_from": {"params": {"seq": "[0, inf)"}},
 }
 
-#: Compact row layout of the hot tier (one structured-array element).
-HOT_DTYPE = np.dtype(
-    [
-        ("rating_id", np.int64),
-        ("rater_id", np.int64),
-        ("product_id", np.int64),
-        ("value", np.float64),
-        ("time", np.float64),
-        ("unfair", np.bool_),
-    ]
-)
+#: Buffered inserts per sqlite transaction.  Each commit is durable
+#: (``synchronous=FULL``), so this trades the durable lag of the store
+#: against one fsync per commit; engine snapshots commit regardless.
+COMMIT_EVERY = 2048
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS ratings (
@@ -74,59 +57,6 @@ CREATE TABLE IF NOT EXISTS ratings (
 CREATE INDEX IF NOT EXISTS idx_ratings_product ON ratings (product_id, seq);
 CREATE INDEX IF NOT EXISTS idx_ratings_rater   ON ratings (rater_id, seq);
 """
-
-
-class _HotWindow:
-    """Ring buffer of the newest ratings of one product."""
-
-    __slots__ = ("rows", "start", "count")
-
-    def __init__(self, capacity: int) -> None:
-        self.rows = np.zeros(capacity, dtype=HOT_DTYPE)
-        self.start = 0
-        self.count = 0
-
-    def push(self, rating: Rating) -> None:
-        capacity = len(self.rows)
-        if self.count == capacity:
-            index = self.start
-            self.start = (self.start + 1) % capacity
-        else:
-            index = (self.start + self.count) % capacity
-            self.count += 1
-        self.rows[index] = (
-            rating.rating_id,
-            rating.rater_id,
-            rating.product_id,
-            rating.value,
-            rating.time,
-            rating.unfair,
-        )
-
-    def ratings(self) -> List[Rating]:
-        """Contents oldest-first, rebuilt as :class:`Rating` records."""
-        out: List[Rating] = []
-        capacity = len(self.rows)
-        for offset in range(self.count):
-            row = self.rows[(self.start + offset) % capacity]
-            out.append(
-                Rating(
-                    rating_id=int(row["rating_id"]),
-                    rater_id=int(row["rater_id"]),
-                    product_id=int(row["product_id"]),
-                    value=float(row["value"]),
-                    time=float(row["time"]),
-                    unfair=bool(row["unfair"]),
-                )
-            )
-        return out
-
-    def contains_rater(self, rater_id: int) -> bool:
-        capacity = len(self.rows)
-        for offset in range(self.count):
-            if self.rows[(self.start + offset) % capacity]["rater_id"] == rater_id:
-                return True
-        return False
 
 
 def _rating_from_row(row: tuple) -> Rating:
@@ -144,53 +74,36 @@ _SELECT_COLUMNS = "rating_id, rater_id, product_id, value, time, unfair"
 
 
 class TieredRatingBackend(RatingStoreBackend):
-    """Full history in sqlite, newest ratings in numpy ring buffers.
+    """Full rating history in sqlite, keyed by sequence number.
+
+    The name (and ``store_backend="tiered"``) refers to the RAM/disk
+    split: registries stay in RAM, rating rows live on disk.
 
     Args:
         path: sqlite database file (created with parents); ``None``
             uses an in-memory database -- same semantics, no
             durability, handy for tests and WAL-less engines.
-        hot_window: per-product ring-buffer capacity.  Size it to the
-            detectors' needs (the serving tier defaults to twice the
-            streaming detector window) so detector-scale reads stay in
-            RAM.
-        commit_every: buffered inserts per sqlite transaction.  Each
-            commit is durable (``synchronous=FULL``); smaller values
-            tighten the durable lag at an fsync cost per commit.
 
-    Thread safety: a single internal lock guards the connection, the
-    insert buffer, and the hot tier, so one backend may be shared by
-    readers while an owner writes.  (Inside the serving engine every
-    call additionally happens under the owning shard's lock.)
+    Thread safety: a single internal lock guards the connection and
+    the insert buffer, so one backend may be shared by readers while
+    an owner writes.  (Inside the serving engine every call
+    additionally happens under the engine lock.)
     """
 
     name = "tiered"
 
-    # Lint contract (CC03): all mutable tier state is owned by _lock.
+    # Lint contract (CC03): all mutable store state is owned by _lock.
     _GUARDED_BY = {
         "_conn": "_lock",
         "_pending": "_lock",
         "_pending_new": "_lock",
-        "_hot": "_lock",
-        "_product_counts": "_lock",
         "_n_total": "_lock",
         "_n_committed": "_lock",
         "_next_seq": "_lock",
     }
 
-    def __init__(
-        self,
-        path: Optional[Union[str, Path]] = None,
-        hot_window: int = 128,
-        commit_every: int = 2048,
-    ) -> None:
-        if hot_window < 1:
-            raise ConfigurationError(f"hot_window must be >= 1, got {hot_window}")
-        if commit_every < 1:
-            raise ConfigurationError(f"commit_every must be >= 1, got {commit_every}")
+    def __init__(self, path: Optional[Union[str, Path]] = None) -> None:
         self._path = Path(path) if path is not None else None
-        self.hot_window = int(hot_window)
-        self.commit_every = int(commit_every)
         self._lock = threading.Lock()
         if self._path is not None:
             self._path.parent.mkdir(parents=True, exist_ok=True)
@@ -205,7 +118,6 @@ class TieredRatingBackend(RatingStoreBackend):
             self._conn.execute("PRAGMA synchronous=FULL")
         self._pending: List[tuple] = []
         self._pending_new = 0
-        self._hot: Dict[int, _HotWindow] = {}
         self._load_existing()
 
     # -- startup / recovery ------------------------------------------------
@@ -222,22 +134,14 @@ class TieredRatingBackend(RatingStoreBackend):
         self._n_total = int(row[0])
         self._n_committed = int(row[0])
         self._next_seq = int(row[1]) + 1
-        self._product_counts: Dict[int, int] = {
-            int(pid): int(count)
-            for pid, count in self._conn.execute(
-                "SELECT product_id, COUNT(*) FROM ratings GROUP BY product_id"
-            )
-        }
 
     def truncate_from(self, seq: int) -> int:
         """Delete every row with sequence >= ``seq``; returns rows kept.
 
-        Recovery calls this to roll the cold tier back to exactly the
+        Recovery calls this to roll the store back to exactly the
         state a snapshot covers before the WAL suffix is re-processed
         (re-ingested rows re-insert under their original sequence
-        numbers, so the operation is idempotent).  Hot windows are
-        dropped -- they repopulate from new arrivals, and reads fall
-        through to sqlite meanwhile.
+        numbers, so the operation is idempotent).
         """
         if seq < 0:
             raise ConfigurationError(f"truncate_from needs seq >= 0, got {seq}")
@@ -245,7 +149,6 @@ class TieredRatingBackend(RatingStoreBackend):
             self._commit_locked()
             self._conn.execute("DELETE FROM ratings WHERE seq >= ?", (int(seq),))
             self._conn.commit()
-            self._hot.clear()
             self._load_existing()
             return self._n_total
 
@@ -287,25 +190,15 @@ class TieredRatingBackend(RatingStoreBackend):
                 rating.time,
                 1 if rating.unfair else 0,
             )
-            if seq < self._next_seq and self._seq_known_locked(seq):
-                # Idempotent re-ingest (a replayed WAL suffix): refresh
-                # the cold row under its original key, leave counters
-                # and the hot tier untouched.
-                self._pending.append(row)
-            else:
+            if seq >= self._next_seq or not self._seq_known_locked(seq):
                 self._next_seq = max(self._next_seq, seq + 1)
-                window = self._hot.get(rating.product_id)
-                if window is None:
-                    window = _HotWindow(self.hot_window)
-                    self._hot[rating.product_id] = window
-                window.push(rating)
-                self._product_counts[rating.product_id] = (
-                    self._product_counts.get(rating.product_id, 0) + 1
-                )
-                self._pending.append(row)
                 self._pending_new += 1
                 self._n_total += 1
-            if len(self._pending) >= self.commit_every:
+            # A known seq is an idempotent re-ingest (a replayed WAL
+            # suffix): its row refreshes the original key at commit
+            # and the counters stay untouched.
+            self._pending.append(row)
+            if len(self._pending) >= COMMIT_EVERY:
                 self._commit_locked()
 
     def _seq_known_locked(self, seq: int) -> bool:
@@ -353,12 +246,6 @@ class TieredRatingBackend(RatingStoreBackend):
 
     def product_ratings(self, product_id: int) -> List[Rating]:
         with self._lock:
-            total = self._product_counts.get(product_id, 0)
-            if total == 0:
-                return []
-            window = self._hot.get(product_id)
-            if window is not None and window.count == total:
-                return window.ratings()
             self._commit_locked()
             rows = self._conn.execute(
                 f"SELECT {_SELECT_COLUMNS} FROM ratings "
@@ -387,15 +274,6 @@ class TieredRatingBackend(RatingStoreBackend):
 
     def has_rated(self, rater_id: int, product_id: int) -> bool:
         with self._lock:
-            total = self._product_counts.get(product_id, 0)
-            if total == 0:
-                return False
-            window = self._hot.get(product_id)
-            if window is not None:
-                if window.contains_rater(rater_id):
-                    return True
-                if window.count == total:
-                    return False
             self._commit_locked()
             row = self._conn.execute(
                 "SELECT 1 FROM ratings WHERE rater_id = ? AND product_id = ? "
@@ -413,20 +291,16 @@ class TieredRatingBackend(RatingStoreBackend):
             self._pending_new = 0
             self._conn.execute("DELETE FROM ratings")
             self._conn.commit()
-            self._hot.clear()
             self._load_existing()
 
     # -- telemetry ---------------------------------------------------------
 
     def stats(self) -> dict:
         with self._lock:
-            hot = sum(window.count for window in self._hot.values())
             payload = {
                 "backend": self.name,
-                "hot_ratings": hot,
                 "cold_ratings": self._n_committed,
                 "pending_ratings": len(self._pending),
-                "hot_window": self.hot_window,
                 "path": str(self._path) if self._path is not None else None,
             }
         if self._path is not None and self._path.exists():

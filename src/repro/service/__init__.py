@@ -8,8 +8,8 @@ through a pluggable online detector ensemble
 incremental co-rating collusion graph, online iterative filtering)
 and batched Procedure 2 trust updates, segmented write-ahead-log
 durability with atomic snapshots and segment garbage collection
-(:mod:`repro.service.wal`), tiered rating storage (sqlite cold tier +
-numpy hot windows, :mod:`repro.ratings.tiered`), dependency-free
+(:mod:`repro.service.wal`), tiered rating storage (rating rows in
+sqlite, :mod:`repro.ratings.tiered`), dependency-free
 Prometheus metrics (:mod:`repro.service.metrics`), and a stdlib JSON
 HTTP API (:mod:`repro.service.http`).
 

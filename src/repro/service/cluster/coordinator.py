@@ -79,6 +79,10 @@ __all__ = ["ClusterCoordinator"]
 
 logger = logging.getLogger(__name__)
 
+#: Max ratings packed into one ingest frame to a worker (by the
+#: per-worker sender thread and by redelivery).
+_BATCH_MAX = 64
+
 # Durability contracts (lint rules DP01-DP03): an ack may only follow
 # the rating's append to the ingest WAL, and the snapshot protocol
 # syncs the WAL before writing state and only GCs segments the written
@@ -438,12 +442,11 @@ class ClusterCoordinator:
         discarding can never lose an acked rating, and it is what
         keeps a full queue from deadlocking the restart.
         """
-        batch_max = self.config.cluster_batch_max
         while True:
             item = self.queue_get(handle)
             stop = item is _STOP
             batch: List[list] = [] if stop else [item]
-            while not stop and len(batch) < batch_max:
+            while not stop and len(batch) < _BATCH_MAX:
                 try:
                     extra = handle.queue.get_nowait()
                 except queue.Empty:
@@ -601,7 +604,7 @@ class ClusterCoordinator:
                 continue
             batch.append([seq, rating_to_dict(rating)])
             resent += 1
-            if len(batch) >= self.config.cluster_batch_max:
+            if len(batch) >= _BATCH_MAX:
                 self._send_ingest_direct(handle, batch)
                 batch = []
         if batch:
@@ -899,7 +902,7 @@ class ClusterCoordinator:
     def storage_stats(self) -> dict:
         """Tier occupancy per worker plus the coordinator's ingest WAL."""
         workers = []
-        hot = cold = pending = 0
+        cold = pending = 0
         for handle in self._handles:
             entry: dict = {"worker": handle.index, "up": handle.up}
             if handle.up:
@@ -909,7 +912,6 @@ class ClusterCoordinator:
                     entry["up"] = False
                 else:
                     entry.update(stats)
-                    hot += int(stats.get("hot_ratings", 0))
                     cold += int(stats.get("cold_ratings", 0))
                     pending += int(stats.get("pending_ratings", 0))
             workers.append(entry)
@@ -917,7 +919,6 @@ class ClusterCoordinator:
         self._m_wal_segments.set(len(segments))
         return {
             "backend": self.config.store_backend,
-            "hot_ratings": hot,
             "cold_ratings": cold,
             "pending_ratings": pending,
             "workers": workers,

@@ -24,12 +24,12 @@ _DEFAULT_SOURCE_THRESHOLDS: Dict[str, float] = {
     "iterfilter": 0.5,
 }
 
-#: Default scoring period (in trust flushes) per ensemble source.  The
+#: Scoring period (in trust flushes) per ensemble source.  The
 #: AR source charges per rating, so its period is moot; the graph and
 #: iterative-filtering sources run whole-structure sweeps, and pricing
 #: those every flush is what would blow the <=2x ingest budget
 #: (benchmarks/bench_ensemble.py) -- they score every 4th flush.
-_DEFAULT_SOURCE_PERIODS: Dict[str, int] = {
+_SOURCE_PERIODS: Dict[str, int] = {
     "ar": 1,
     "cograph": 4,
     "iterfilter": 4,
@@ -72,12 +72,6 @@ class ServiceConfig:
             tuple) picks the source default (0.10 for ``"ar"`` -- a
             normalized model-error alarm threshold -- and 0.5 for the
             graph and iterative-filtering sources).
-        ensemble_periods: per-source scoring period in flushes,
-            aligned with ``ensemble_sources``; a ``None`` tuple picks
-            the source defaults (AR every flush; the graph and
-            iterative-filtering sweeps every 4th flush, which is what
-            keeps the full ensemble inside its 2x ingest budget).
-            The AR source charges per rating and ignores its period.
         ensemble_combiner: how per-source suspicion masses merge
             before the trust update: ``"weighted_mean"`` or ``"max"``
             (see :data:`repro.service.ensemble.COMBINERS`).
@@ -91,14 +85,9 @@ class ServiceConfig:
         trust_forgetting_factor: evidence discount per trust update.
         store_backend: rating-row storage engine:
             ``"memory"`` (the historical all-in-RAM lists) or
-            ``"tiered"`` (full history in sqlite cold storage plus
-            per-product numpy hot windows, so resident memory stays
-            flat as histories grow -- see
+            ``"tiered"`` (full history in sqlite, so resident memory
+            stays flat as histories grow -- see
             :class:`~repro.ratings.tiered.TieredRatingBackend`).
-        store_hot_window: per-product hot-window capacity of the
-            tiered backend; ``None`` resolves to twice
-            ``detector_window`` so detector-scale reads never touch
-            sqlite.  Ignored by the memory backend.
         wal_dir: directory for the write-ahead log and snapshots
             (None = run without durability).  The tiered backend
             places its sqlite file in a ``store/`` subdirectory;
@@ -126,8 +115,6 @@ class ServiceConfig:
         cluster_queue_depth: bounded per-worker ingest queue; a full
             queue blocks the coordinator's submit (backpressure)
             instead of growing memory without bound.
-        cluster_batch_max: max ratings packed into one transport frame
-            by the coordinator's per-worker sender thread.
         cluster_ack_fsync_every: fsync the coordinator's ingest WAL
             every N appends -- the ack durability/latency trade, held
             separately from the workers' ``wal_fsync_every`` (group
@@ -146,14 +133,12 @@ class ServiceConfig:
     ensemble_sources: Tuple[str, ...] = ("ar",)
     ensemble_weights: Optional[Tuple[float, ...]] = None
     ensemble_thresholds: Optional[Tuple[Optional[float], ...]] = None
-    ensemble_periods: Optional[Tuple[int, ...]] = None
     ensemble_combiner: str = "weighted_mean"
     max_raters_per_product: int = 1024
     trust_badness_weight: float = 1.0
     trust_detection_threshold: float = 0.5
     trust_forgetting_factor: float = 1.0
     store_backend: str = "memory"
-    store_hot_window: Optional[int] = None
     wal_dir: Optional[str] = None
     wal_fsync_every: int = 1
     wal_segment_entries: int = 100_000
@@ -161,7 +146,6 @@ class ServiceConfig:
     snapshot_every: int = 0
     cluster_workers: int = 0
     cluster_queue_depth: int = 4096
-    cluster_batch_max: int = 64
     cluster_ack_fsync_every: int = 64
 
     def __post_init__(self) -> None:
@@ -188,10 +172,6 @@ class ServiceConfig:
                 f"unknown store_backend {self.store_backend!r}; "
                 f"choose from ['memory', 'tiered']"
             )
-        if self.store_hot_window is not None and self.store_hot_window < 1:
-            raise ConfigurationError(
-                f"store_hot_window must be >= 1 or None, got {self.store_hot_window}"
-            )
         if self.wal_fsync_every < 1:
             raise ConfigurationError(
                 f"wal_fsync_every must be >= 1, got {self.wal_fsync_every}"
@@ -216,10 +196,6 @@ class ServiceConfig:
         if self.cluster_queue_depth < 1:
             raise ConfigurationError(
                 f"cluster_queue_depth must be >= 1, got {self.cluster_queue_depth}"
-            )
-        if self.cluster_batch_max < 1:
-            raise ConfigurationError(
-                f"cluster_batch_max must be >= 1, got {self.cluster_batch_max}"
             )
         if self.cluster_ack_fsync_every < 1:
             raise ConfigurationError(
@@ -258,7 +234,7 @@ class ServiceConfig:
         # Tuple-ify sequence fields so JSON round-trips (lists) compare
         # and hash like freshly-built configs.
         object.__setattr__(self, "ensemble_sources", tuple(self.ensemble_sources))
-        for field_name in ("ensemble_weights", "ensemble_thresholds", "ensemble_periods"):
+        for field_name in ("ensemble_weights", "ensemble_thresholds"):
             value = getattr(self, field_name)
             if value is not None:
                 object.__setattr__(self, field_name, tuple(value))
@@ -275,7 +251,7 @@ class ServiceConfig:
             )
         if len(set(sources)) != len(sources):
             raise ConfigurationError(f"duplicate ensemble sources in {sources}")
-        for field_name in ("ensemble_weights", "ensemble_thresholds", "ensemble_periods"):
+        for field_name in ("ensemble_weights", "ensemble_thresholds"):
             value = getattr(self, field_name)
             if value is not None and len(value) != len(sources):
                 raise ConfigurationError(
@@ -289,12 +265,6 @@ class ServiceConfig:
                 )
             if sum(self.ensemble_weights) <= 0:
                 raise ConfigurationError("ensemble_weights must not all be zero")
-        if self.ensemble_periods is not None and any(
-            p < 1 for p in self.ensemble_periods
-        ):
-            raise ConfigurationError(
-                f"ensemble_periods must be >= 1, got {self.ensemble_periods}"
-            )
         if self.ensemble_combiner not in COMBINERS:
             raise ConfigurationError(
                 f"unknown combiner {self.ensemble_combiner!r}; "
@@ -305,13 +275,6 @@ class ServiceConfig:
                 f"max_raters_per_product must be >= 1, "
                 f"got {self.max_raters_per_product}"
             )
-
-    @property
-    def resolved_hot_window(self) -> int:
-        """Resolved tiered hot-window size (auto = 2x detector window)."""
-        if self.store_hot_window is not None:
-            return int(self.store_hot_window)
-        return max(2 * self.detector_window, 1)
 
     @property
     def source_weights(self) -> Dict[str, float]:
@@ -334,16 +297,8 @@ class ServiceConfig:
 
     @property
     def source_periods(self) -> Dict[str, int]:
-        """Resolved source -> scoring period in flushes."""
-        if self.ensemble_periods is None:
-            return {
-                name: _DEFAULT_SOURCE_PERIODS.get(name, 1)
-                for name in self.ensemble_sources
-            }
-        return {
-            name: int(period)
-            for name, period in zip(self.ensemble_sources, self.ensemble_periods)
-        }
+        """Source -> scoring period in flushes (see ``_SOURCE_PERIODS``)."""
+        return {name: _SOURCE_PERIODS[name] for name in self.ensemble_sources}
 
     def worker_config(self, index: int) -> "ServiceConfig":
         """Derive worker ``index``'s engine config from this cluster config.

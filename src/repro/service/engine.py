@@ -32,12 +32,11 @@ long-running, thread-safe serving component:
   :meth:`recover` rebuilds a crashed engine bit-for-bit by replaying
   the WAL over the latest snapshot.
 * **Tiered storage** -- with ``store_backend="tiered"`` the rating rows
-  live in a sqlite cold tier (``wal_dir/store/ratings.sqlite``) plus
-  per-product numpy hot windows, keyed by WAL sequence number.
-  Because the cold tier is durable, snapshots garbage-collect the WAL
-  segments they cover, so disk, memory, and recovery time stay
-  proportional to the suffix since the last snapshot -- never to total
-  history.
+  live in sqlite on disk (``wal_dir/store/ratings.sqlite``), keyed by
+  WAL sequence number.  Because that store is durable, snapshots
+  garbage-collect the WAL segments they cover, so disk, memory, and
+  recovery time stay proportional to the suffix since the last
+  snapshot -- never to total history.
 """
 
 from __future__ import annotations
@@ -260,11 +259,8 @@ class RatingEngine:
         )
         self._m_fsync = m.histogram("repro_wal_fsync_seconds")
         self._m_wal_segments = m.gauge("repro_wal_segments")
-        self._m_store_hot = m.gauge(
-            "repro_store_hot_ratings", "Ratings resident in the hot storage tier."
-        )
         self._m_store_cold = m.gauge(
-            "repro_store_cold_ratings", "Ratings committed to the cold storage tier."
+            "repro_store_cold_ratings", "Ratings committed to durable storage."
         )
         self._m_active_products = m.gauge(
             "repro_active_products", "Products with streaming detector state."
@@ -316,9 +312,7 @@ class RatingEngine:
         path: Optional[Path] = None
         if self.config.wal_dir is not None:
             path = Path(self.config.wal_dir) / "store" / "ratings.sqlite"
-        return TieredRatingBackend(
-            path=path, hot_window=self.config.resolved_hot_window
-        )
+        return TieredRatingBackend(path=path)
 
     def _wire_sources(self) -> None:
         """Point the sources at the engine's metrics/counters.
@@ -971,12 +965,11 @@ class RatingEngine:
     def storage_stats(self) -> dict:
         """Tier occupancy, WAL segment layout, and snapshot inventory.
 
-        Also refreshes the ``repro_store_hot_ratings`` /
-        ``repro_store_cold_ratings`` / ``repro_wal_segments`` gauges.
+        Also refreshes the ``repro_store_cold_ratings`` /
+        ``repro_wal_segments`` gauges.
         """
         with self._lock:
             stats = self._store.backend.stats()
-        self._m_store_hot.set(int(stats.get("hot_ratings", 0)))
         self._m_store_cold.set(int(stats.get("cold_ratings", 0)))
         wal_info = None
         if self.wal is not None:

@@ -337,6 +337,11 @@ class WriteAheadLog:
         self._count = start + n_entries
         self._since_sync = 0
         self._handle = newest.open("a", encoding="utf-8")
+        if n_entries:
+            # A crashed predecessor may have left its newest appends in
+            # the page cache only; make them durable here, since sync()
+            # skips a log with no appends since its last fsync.
+            os.fsync(self._handle.fileno())
 
     # -- introspection ----------------------------------------------------
 
@@ -392,20 +397,7 @@ class WriteAheadLog:
         row = rating_to_dict(rating)
         if meta is not None:
             row["meta"] = meta
-        line = json.dumps(row, separators=(",", ":"))
-        with self._lock:
-            if self._handle.closed:
-                raise ConfigurationError(f"WAL {self._directory} is closed")
-            if self._segment_count >= self.segment_entries:
-                self._rotate_locked()
-            self._handle.write(line + "\n")
-            seq = self._count
-            self._count += 1
-            self._segment_count += 1
-            self._since_sync += 1
-            if self._since_sync >= self.fsync_every:
-                self._sync_locked()
-        return seq
+        return self._write(row)
 
     def append_control(self, payload: dict) -> int:
         """Append a non-rating **control row**; returns its sequence number.
@@ -419,7 +411,11 @@ class WriteAheadLog:
         :func:`replay_wal` skips them; :func:`replay_wal_meta` yields
         them as ``(seq, None, {"control": payload})``.
         """
-        line = json.dumps({"control": payload}, separators=(",", ":"))
+        return self._write({"control": payload})
+
+    def _write(self, row: dict) -> int:
+        """Append one JSON row under the lock; rotate and fsync per policy."""
+        line = json.dumps(row, separators=(",", ":"))
         with self._lock:
             if self._handle.closed:
                 raise ConfigurationError(f"WAL {self._directory} is closed")
@@ -461,9 +457,9 @@ class WriteAheadLog:
             self._on_fsync(time.perf_counter() - start)
 
     def sync(self) -> None:
-        """Flush and fsync any buffered appends."""
+        """Flush and fsync any appends not yet fsynced (no-op if none)."""
         with self._lock:
-            if not self._handle.closed:
+            if not self._handle.closed and self._since_sync:
                 self._sync_locked()
 
     def close(self) -> None:

@@ -2,9 +2,8 @@
 
 The contract under test: `InMemoryBackend` and `TieredRatingBackend`
 are observationally equivalent through both the `RatingStore` API and
-the full `RatingEngine` pipeline — including a hot window small enough
-to force cold-tier reads — and the tiered backend is what licenses WAL
-segment garbage collection.
+the full `RatingEngine` pipeline, and the tiered backend is what
+licenses WAL segment garbage collection.
 """
 
 from __future__ import annotations
@@ -24,13 +23,11 @@ from repro.service.wal import list_snapshots
 from tests.test_service_engine import BASE, make_stream
 
 
-def _backends(tmp_path, hot_window=4):
+def _backends(tmp_path):
     return {
         "memory": InMemoryBackend(),
-        "tiered": TieredRatingBackend(
-            path=tmp_path / "tiered.sqlite", hot_window=hot_window
-        ),
-        "tiered-ram": TieredRatingBackend(path=None, hot_window=hot_window),
+        "tiered": TieredRatingBackend(path=tmp_path / "tiered.sqlite"),
+        "tiered-ram": TieredRatingBackend(path=None),
     }
 
 
@@ -49,8 +46,8 @@ def _populated_store(backend, stream):
 
 class TestStoreEquivalence:
     def test_reads_agree_across_backends(self, tmp_path):
-        """Tiny hot window: most reads must come off the cold tier and
-        still agree with the in-memory reference, in order."""
+        """Every read comes off sqlite and agrees with the in-memory
+        reference, in order."""
         stream = make_stream(120, n_products=4, n_raters=9, seed=3)
         stores = {
             name: _populated_store(backend, stream)
@@ -79,33 +76,16 @@ class TestStoreEquivalence:
                 assert store.has_rated(rating.rater_id, rating.product_id)
             assert not store.has_rated(10_000, 0)
 
-    def test_hot_window_fast_path_matches_cold(self, tmp_path):
-        """A product whose history fits the hot window is served from
-        numpy; one that overflows is served from sqlite. Same answers."""
-        stream = make_stream(40, n_products=2, n_raters=6, seed=4)
-        backend = TieredRatingBackend(path=tmp_path / "t.sqlite", hot_window=100)
-        small = TieredRatingBackend(path=tmp_path / "s.sqlite", hot_window=2)
-        for seq, rating in enumerate(stream):
-            backend.add(rating, seq=seq)
-            small.add(rating, seq=seq)
-        for pid in (0, 1):
-            assert [r.value for r in backend.product_ratings(pid)] == [
-                r.value for r in small.product_ratings(pid)
-            ]
-        stats = small.stats()
-        assert stats["hot_ratings"] <= 2 * 2  # hot_window * n_products
-        assert small.n_ratings == 40
-
     def test_persistence_across_reopen(self, tmp_path):
         stream = make_stream(30, seed=5)
         path = tmp_path / "t.sqlite"
-        backend = TieredRatingBackend(path=path, hot_window=8)
+        backend = TieredRatingBackend(path=path)
         for seq, rating in enumerate(stream):
             backend.add(rating, seq=seq)
         backend.commit()
         backend.close()
 
-        reopened = TieredRatingBackend(path=path, hot_window=8)
+        reopened = TieredRatingBackend(path=path)
         assert reopened.n_ratings == 30
         assert sorted(reopened.product_ids()) == sorted(
             {r.product_id for r in stream}
@@ -120,7 +100,7 @@ class TestStoreEquivalence:
         counter: the cleared rows were never committed, so they must not
         inflate cold_ratings on the next commit."""
         stream = make_stream(20, seed=11)
-        backend = TieredRatingBackend(path=tmp_path / "t.sqlite", hot_window=4)
+        backend = TieredRatingBackend(path=tmp_path / "t.sqlite")
         for seq, rating in enumerate(stream[:10]):
             backend.add(rating, seq=seq)
         # Rows are buffered but not committed; clearing discards them.
@@ -135,7 +115,7 @@ class TestStoreEquivalence:
 
     def test_truncate_from_rolls_back(self, tmp_path):
         stream = make_stream(50, seed=6)
-        backend = TieredRatingBackend(path=tmp_path / "t.sqlite", hot_window=4)
+        backend = TieredRatingBackend(path=tmp_path / "t.sqlite")
         for seq, rating in enumerate(stream):
             backend.add(rating, seq=seq)
         kept = backend.truncate_from(20)
@@ -149,7 +129,7 @@ class TestStoreEquivalence:
         """INSERT OR REPLACE on seq: re-ingesting a replayed suffix
         must not duplicate rows."""
         stream = make_stream(20, seed=7)
-        backend = TieredRatingBackend(path=tmp_path / "t.sqlite", hot_window=100)
+        backend = TieredRatingBackend(path=tmp_path / "t.sqlite")
         for seq, rating in enumerate(stream):
             backend.add(rating, seq=seq)
         for seq, rating in enumerate(stream[10:], start=10):
@@ -158,7 +138,7 @@ class TestStoreEquivalence:
         assert backend.stats()["cold_ratings"] == 20
 
     def test_clear_empties_both_tiers(self, tmp_path):
-        backend = TieredRatingBackend(path=tmp_path / "t.sqlite", hot_window=4)
+        backend = TieredRatingBackend(path=tmp_path / "t.sqlite")
         for seq, rating in enumerate(make_stream(15, seed=8)):
             backend.add(rating, seq=seq)
         backend.clear()

@@ -64,6 +64,8 @@ class TestConfig:
         config = ServiceConfig()
         data = config.to_dict()
         data["future_knob"] = 42
+        # Knobs that older versions wrote into snapshots.
+        data.update(store_hot_window=8, ensemble_periods=None, cluster_batch_max=64)
         assert ServiceConfig.from_dict(data) == config
 
 

@@ -57,6 +57,19 @@ class TestWriteAheadLog:
         wal.close()  # close syncs the tail
         assert len(durations) == 3
 
+    def test_worker_flush_fsyncs_each_entry_once(self, tmp_path):
+        """A cluster-worker flush fsyncs its marker on append; the
+        sync() that follows has nothing left to fsync."""
+        engine = RatingEngine(
+            ServiceConfig(wal_dir=str(tmp_path), batch_max_ratings=64),
+            trust_delegate=lambda digest: {},
+        )
+        engine.submit_many(make_stream(64))
+        fsyncs = engine.metrics.histogram("repro_wal_fsync_seconds").count
+        assert engine.wal.n_entries == 65  # 64 ratings + one flush marker
+        assert fsyncs == engine.wal.n_entries
+        engine.close()
+
     def test_invalid_fsync_every(self, tmp_path):
         with pytest.raises(ConfigurationError):
             WriteAheadLog(tmp_path, fsync_every=0)
