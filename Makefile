@@ -1,10 +1,27 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-json lint-strict lint-update-baseline bench bench-lint import-profile
+.PHONY: test durability lint lint-json lint-strict lint-update-baseline bench bench-lint import-profile
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# The crash and durability tests, by name: worker SIGKILL, lost ingest-WAL
+# tail, torn tail, SIGTERM drain, real-process recovery crashes, and the
+# group-commit invariant and power-loss tests.
+DURABILITY_TESTS = \
+	tests/test_service_cluster.py::TestWorkerCrashRecovery \
+	tests/test_service_cluster.py::TestPowerLoss \
+	tests/test_service_cluster.py::test_serve_sigterm_drains_cluster \
+	tests/test_service_recovery_crash.py \
+	tests/test_service_wal.py::TestWriteAheadLog::test_worker_flush_fsyncs_a_chunk_once \
+	tests/test_service_wal.py::TestGroupCommit \
+	tests/test_service_wal.py::TestSegments::test_torn_partial_line_dropped_once \
+	tests/test_service_wal.py::TestSegments::test_torn_unparseable_final_line_dropped_once \
+	tests/test_service_wal.py::TestCrashRecovery
+
+durability:
+	$(PYTHON) -m pytest -q $(DURABILITY_TESTS)
 
 lint:
 	$(PYTHON) -m repro.devtools src

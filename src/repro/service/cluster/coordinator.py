@@ -29,7 +29,11 @@ meta + snapshot ``client_meta``), and report that *watermark* on
 (re)connect; the coordinator redelivers owned entries above it.  A
 worker death therefore costs a restart + bounded replay, never an
 acked rating: the supervisor restarts the process, the worker recovers
-its engine from its own WAL, and redelivery closes the gap.
+its engine from its own WAL, and redelivery closes the gap.  A worker
+fsyncs its log once per ingest frame (a group commit) and reports the
+frame ``processed`` only after that fsync, so a power loss takes at
+most the one frame it had not yet reported, and redelivery restores
+that frame too.
 
 **Snapshots** are a two-phase, cluster-wide protocol (see
 :meth:`snapshot`): pause ingest, drain, have every worker flush
@@ -62,7 +66,7 @@ from repro.service.cluster.framing import recv_msg, send_msg
 from repro.service.cluster.ring import ConsistentHashRing
 from repro.service.cluster.worker import worker_main
 from repro.service.config import ServiceConfig
-from repro.service.engine import SubmitResult
+from repro.service.engine import GROUP_COMMIT_MAX, SubmitResult
 from repro.service.ledger import TrustLedger
 from repro.service.metrics import MetricsRegistry
 from repro.service.wal import (
@@ -78,10 +82,6 @@ from repro.service.wal import (
 __all__ = ["ClusterCoordinator"]
 
 logger = logging.getLogger(__name__)
-
-#: Max ratings packed into one ingest frame to a worker (by the
-#: per-worker sender thread and by redelivery).
-_BATCH_MAX = 64
 
 # Durability contracts (lint rules DP01-DP03): an ack may only follow
 # the rating's append to the ingest WAL, and the snapshot protocol
@@ -347,9 +347,12 @@ class ClusterCoordinator:
 
         A coordinator crash can lose the unsynced tail of the ingest
         WAL -- acks inside the ``cluster_ack_fsync_every`` group-commit
-        window -- while the owning workers already applied (and
-        durably logged) those very entries.  The ratings themselves
-        are safe in the worker WALs; the danger is sequence reuse: a
+        window -- while the owning workers already applied and logged
+        those very entries.  A worker fsyncs each ingest frame as one
+        group before it reports the frame ``processed``, so after a
+        power loss its log holds every frame it reported and may lack
+        only the one it was applying.  The entries the worker logs
+        kept are safe there; the danger is sequence reuse: a
         fresh append would hand a new rating a sequence number some
         worker has already stamped on an old one, aliasing the two in
         every watermark/redelivery computation from then on.  Pad the
@@ -446,7 +449,7 @@ class ClusterCoordinator:
             item = self.queue_get(handle)
             stop = item is _STOP
             batch: List[list] = [] if stop else [item]
-            while not stop and len(batch) < _BATCH_MAX:
+            while not stop and len(batch) < GROUP_COMMIT_MAX:
                 try:
                     extra = handle.queue.get_nowait()
                 except queue.Empty:
@@ -589,8 +592,10 @@ class ClusterCoordinator:
         watermark, skipped) or is resent here in original ack order.
         Re-sent entries the worker *did* process but could not fsync
         are re-applied idempotently: rejected ones reject again
-        deterministically, and accepted ones were lost with the torn
-        WAL tail they would have occupied.
+        deterministically, and accepted ones were lost with the WAL
+        tail they would have occupied -- after a power loss, at most
+        the one ingest frame whose group commit had not yet synced,
+        which the worker had therefore not reported ``processed``.
         """
         self.wal.sync()
         end = self.wal.n_entries
@@ -604,7 +609,7 @@ class ClusterCoordinator:
                 continue
             batch.append([seq, rating_to_dict(rating)])
             resent += 1
-            if len(batch) >= _BATCH_MAX:
+            if len(batch) >= GROUP_COMMIT_MAX:
                 self._send_ingest_direct(handle, batch)
                 batch = []
         if batch:

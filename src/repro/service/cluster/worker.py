@@ -26,11 +26,16 @@ restart, which is what makes supervision simple):
    worker would serve scores from an empty mirror until its next
    flush) and then redelivers every owned ingest-WAL entry above the
    watermark;
-5. run the frame loop: apply ``ingest`` batches through
-   ``engine.submit`` (stamping each entry's coordinator seq into the
-   WAL meta and ``client_meta``), answer ``rpc`` frames, and report
-   cumulative ``processed`` counts for the coordinator's credit-based
-   backpressure window.
+5. run the frame loop: apply each ``ingest`` frame through
+   ``engine.submit`` inside one :meth:`RatingEngine.group_commit`
+   (stamping each entry's coordinator seq into the WAL meta and
+   ``client_meta``), answer ``rpc`` frames, and report cumulative
+   ``processed`` counts for the coordinator's credit-based
+   backpressure window.  The frame's WAL rows are fsynced once, when
+   its group closes, and ``processed`` is sent only after that; a
+   trust digest leaving mid-frame syncs the rows before it first.  A
+   power loss can therefore take at most the frame not yet reported,
+   which redelivery above the watermark restores.
 
 A dropped coordinator connection is treated as a crash of the pair:
 the worker syncs what it has and exits; recovery truth lives in the
@@ -143,14 +148,17 @@ class _WorkerRuntime:
 
     def handle_ingest(self, msg: dict) -> None:
         assert self.engine is not None
-        for g, row in msg["entries"]:
-            rating = rating_from_dict(row)
-            # Stamp the coordinator seq before the submit: accepted
-            # entries carry it in their WAL meta, and the snapshot's
-            # client_meta covers rejected ones (which are never
-            # logged locally but must not be redelivered forever).
-            self.engine.client_meta["coord_seq"] = int(g)
-            self.engine.submit(rating, wal_meta={"g": int(g)})
+        # One WAL fsync for the whole frame, when the group closes --
+        # before the frame is reported processed below.
+        with self.engine.group_commit():
+            for g, row in msg["entries"]:
+                rating = rating_from_dict(row)
+                # Stamp the coordinator seq before the submit: accepted
+                # entries carry it in their WAL meta, and the snapshot's
+                # client_meta covers rejected ones (which are never
+                # logged locally but must not be redelivered forever).
+                self.engine.client_meta["coord_seq"] = int(g)
+                self.engine.submit(rating, wal_meta={"g": int(g)})
         self._processed += len(msg["entries"])
         self.send(
             {"type": "processed", "worker": self.index, "n": self._processed}

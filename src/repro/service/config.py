@@ -116,10 +116,12 @@ class ServiceConfig:
             queue blocks the coordinator's submit (backpressure)
             instead of growing memory without bound.
         cluster_ack_fsync_every: fsync the coordinator's ingest WAL
-            every N appends -- the ack durability/latency trade, held
-            separately from the workers' ``wal_fsync_every`` (group
-            commit at the coordinator, per-rating durability at the
-            workers by default).
+            every N appends -- the ack durability/latency trade.  It
+            bounds the acked ratings a power loss can take: those past
+            the last coordinator fsync whose worker had not yet fsynced
+            them.  Workers fsync once per ingest frame (a group commit
+            of up to 64 entries, before reporting it processed); their
+            ``wal_fsync_every`` governs only ratings outside a group.
     """
 
     n_shards: int = 1

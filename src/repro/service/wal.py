@@ -58,6 +58,7 @@ import os
 import re
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Iterator, List, Optional, Tuple, Union
@@ -213,7 +214,9 @@ class WriteAheadLog:
         path: the WAL directory; created (with parents) if absent.
         fsync_every: ``os.fsync`` after every N appends (1 = maximum
             durability, larger values trade a bounded tail of possibly
-            lost ratings for throughput).
+            lost ratings for throughput).  Inside a
+            :meth:`group_commit` block the fsync is deferred to the
+            block's end.
         segment_entries: start a new segment after this many entries in
             the current one.  Smaller segments give the garbage
             collector finer granularity at the cost of more files.
@@ -229,6 +232,16 @@ class WriteAheadLog:
     interleaving appends.  Opening also repairs a torn final line left
     by a crash mid-append -- the partial record is logged, truncated
     away, and the next append starts on a clean boundary.
+
+    **Group commit.**  Inside :meth:`group_commit` every row is still
+    written and flushed to the OS where the ``fsync_every`` policy
+    would fsync it, so a *process* crash keeps the same rows as
+    without the group; only the ``os.fsync`` waits, for one sync when
+    the outermost block exits.  A *power loss* can therefore take the
+    rows of an open group.  The callers' invariant is that nothing
+    leaves the process before the rows it depends on are fsynced: an
+    explicit :meth:`sync` inside the block fsyncs at once, and the
+    engine calls it before a trust digest or a snapshot leaves.
     """
 
     # Lint contract (CC03): the append path's state is owned by _lock.
@@ -239,6 +252,7 @@ class WriteAheadLog:
         "_segment_start": "_lock",
         "_segment_count": "_lock",
         "_segment_starts": "_lock",
+        "_group_depth": "_lock",
     }
 
     def __init__(
@@ -336,6 +350,7 @@ class WriteAheadLog:
         self._segment_count = n_entries
         self._count = start + n_entries
         self._since_sync = 0
+        self._group_depth = 0
         self._handle = newest.open("a", encoding="utf-8")
         if n_entries:
             # A crashed predecessor may have left its newest appends in
@@ -403,7 +418,7 @@ class WriteAheadLog:
         """Append a non-rating **control row**; returns its sequence number.
 
         Control rows record replayable events that are not ratings --
-        the cluster tier writes ``{"flush": shard_index}`` markers so a
+        a cluster worker's engine writes ``{"flush": 0}`` markers so a
         recovering worker reproduces its explicit trust-digest flushes
         at exactly the positions they originally happened.  They share
         the rating rows' sequence space (so snapshot positions and GC
@@ -427,8 +442,33 @@ class WriteAheadLog:
             self._segment_count += 1
             self._since_sync += 1
             if self._since_sync >= self.fsync_every:
-                self._sync_locked()
+                if self._group_depth:
+                    self._handle.flush()  # to the OS; fsync at group end
+                else:
+                    self._sync_locked()
         return seq
+
+    @contextmanager
+    def group_commit(self) -> Iterator[None]:
+        """Defer fsyncs to one :meth:`sync` when the block exits.
+
+        Blocks nest; only the outermost exit syncs.  The group covers
+        every append made while it is open, so callers serialize their
+        appends around it (the engine holds its lock for the block).
+        """
+        with self._lock:
+            self._group_depth += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._group_depth -= 1
+                if (
+                    not self._group_depth
+                    and not self._handle.closed
+                    and self._since_sync
+                ):
+                    self._sync_locked()
 
     def _rotate_locked(self) -> None:
         """Seal the active segment and start the next one.
@@ -457,7 +497,10 @@ class WriteAheadLog:
             self._on_fsync(time.perf_counter() - start)
 
     def sync(self) -> None:
-        """Flush and fsync any appends not yet fsynced (no-op if none)."""
+        """Flush and fsync any appends not yet fsynced (no-op if none).
+
+        Fsyncs at once, inside a :meth:`group_commit` block too.
+        """
         with self._lock:
             if not self._handle.closed and self._since_sync:
                 self._sync_locked()

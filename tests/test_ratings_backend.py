@@ -149,8 +149,8 @@ class TestStoreEquivalence:
 
 class TestEngineEquivalence:
     def test_memory_and_tiered_engines_agree(self, tmp_path):
-        """Same stream through both backends (tiered with a detector-
-        sized hot window): identical trust, scores, and counters."""
+        """Same stream through both backends (tiered: rows only in
+        sqlite): identical trust, scores, and counters."""
         stream = make_stream(200, seed=9)
         engines = {}
         for name in ("memory", "tiered"):

@@ -321,6 +321,167 @@ class TestWorkerCrashRecovery:
             reopened.close()
 
 
+# Put first on the crashed cluster's PYTHONPATH: every process of it
+# (coordinator and spawned worker) logs each fsync (inode, size) and
+# each ``processed`` report, in order, to a file of its own.
+_DURABILITY_HOOK = """
+import os
+
+_log = os.environ.get("REPRO_TEST_DURABILITY_LOG")
+if _log:
+    import json
+    import multiprocessing.connection as mpc
+
+    _path = f"{_log}.{os.getpid()}"
+    _fsync = os.fsync
+    _send_bytes = mpc._ConnectionBase.send_bytes
+
+    def _record(line):
+        with open(_path, "a") as handle:
+            handle.write(line + "\\n")
+
+    def fsync(fd):
+        _fsync(fd)
+        stat = os.fstat(fd)
+        _record(f"fsync {stat.st_ino} {stat.st_size}")
+
+    def send_bytes(self, buf, *args, **kwargs):
+        if bytes(buf).startswith(b'{"type":"processed"'):
+            _record(f"processed {json.loads(bytes(buf))['n']}")
+        return _send_bytes(self, buf, *args, **kwargs)
+
+    os.fsync = fsync
+    mpc._ConnectionBase.send_bytes = send_bytes
+"""
+
+# The crashed cluster: acks a stream prefix, waits until the worker has
+# reported all of it processed, then idles until the test kills it.
+_CRASHED_CLUSTER = """
+import sys, time
+from repro.service.cluster import ClusterCoordinator
+from tests.test_service_cluster import cluster_config, make_stream
+
+wal_dir, n = sys.argv[1], int(sys.argv[2])
+cluster = ClusterCoordinator(
+    cluster_config(wal_dir, workers=1, wal_gc=False, cluster_ack_fsync_every=1)
+)
+stream = make_stream()
+for rating in stream[:n]:
+    cluster.submit(rating)
+cluster.score(stream[n - 1].product_id)  # read-your-writes: all processed
+print(cluster._handles[0].process.pid, cluster._sockdir, flush=True)
+time.sleep(600)
+"""
+
+
+@pytest.mark.slow
+class TestPowerLoss:
+    def test_worker_power_loss_recovers_to_identical_state(self, tmp_path):
+        """Group commit's loss window.  Kill a 1-worker cluster (no
+        closing snapshot), then cut the worker's WAL back to its last
+        flush marker -- what a power loss can leave once the worker
+        fsyncs per ingest frame.  The reopened cluster must land on the
+        state of an uninterrupted run, and every frame the worker
+        reported processed must have been fsynced before the report.
+
+        The coordinator fsyncs every ack here, so the test isolates the
+        worker's window from the coordinator's own (documented)
+        ``cluster_ack_fsync_every`` window.
+        """
+        stream = make_stream()
+        config = dict(workers=1, wal_gc=False, cluster_ack_fsync_every=1)
+        crash_at = 290  # flush markers every 25 ratings; 15 past the last
+
+        def finish(cluster, ratings):
+            for rating in ratings:
+                cluster.submit(rating)
+            cluster.flush()
+            return {
+                "trust": cluster.trust_table(),
+                "suspicion": cluster.suspicion_table(),
+                "malicious": cluster.detected_malicious(),
+                "scores": {pid: cluster.score(pid) for pid in range(6)},
+                "n_accepted": cluster.n_accepted,
+            }
+
+        reference_cluster = ClusterCoordinator(
+            cluster_config(tmp_path / "reference", **config)
+        )
+        try:
+            reference = finish(reference_cluster, stream)
+        finally:
+            reference_cluster.close()
+
+        hook_dir = tmp_path / "hook"
+        hook_dir.mkdir()
+        (hook_dir / "sitecustomize.py").write_text(_DURABILITY_HOOK)
+        repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        wal_dir = tmp_path / "crashed"
+        log = tmp_path / "durability"
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(
+                [str(hook_dir), os.path.join(repo_root, "src"), repo_root]
+            ),
+            "REPRO_TEST_DURABILITY_LOG": str(log),
+        }
+        process = subprocess.Popen(
+            [sys.executable, "-c", _CRASHED_CLUSTER, str(wal_dir), str(crash_at)],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+            cwd=repo_root,
+            start_new_session=True,
+        )
+        try:
+            ready = process.stdout.readline().split()
+            assert len(ready) == 2, "crashed cluster never became ready"
+        finally:
+            os.killpg(process.pid, signal.SIGKILL)  # coordinator and worker
+            process.wait()
+            process.stdout.close()
+        # The worker sat idle (everything processed), so the kill left
+        # its WAL as it was at the report.
+        worker_pid, sockdir = int(ready[0]), ready[1]
+        for leftover in os.listdir(sockdir):
+            os.unlink(os.path.join(sockdir, leftover))
+        os.rmdir(sockdir)
+
+        segment = sorted((wal_dir / "worker-000").glob("wal-*.jsonl"))[-1]
+        lines = segment.read_bytes().splitlines(keepends=True)
+        # Every processed report was preceded by an fsync covering the
+        # rows of every entry it reports.
+        ends, offset = [], 0
+        for line in lines:
+            offset += len(line)
+            if b'"control"' not in line:
+                ends.append(offset)
+        assert len(ends) == crash_at
+        events = (log.parent / f"{log.name}.{worker_pid}").read_text().split("\n")
+        inode, synced, reports = segment.stat().st_ino, 0, 0
+        for event in filter(None, events):
+            kind, *fields = event.split()
+            if kind == "fsync" and int(fields[0]) == inode:
+                synced = int(fields[1])
+            elif kind == "processed":
+                reports += 1
+                assert synced >= ends[int(fields[0]) - 1], event
+        assert reports >= 1
+
+        # The power loss: everything after the last flush marker is gone.
+        last_flush = max(
+            i for i, line in enumerate(lines) if b'"control":{"flush"' in line
+        )
+        assert len(lines) - last_flush - 1 == crash_at % 25
+        segment.write_bytes(b"".join(lines[: last_flush + 1]))
+
+        reopened = ClusterCoordinator(cluster_config(wal_dir, **config))
+        try:
+            assert finish(reopened, stream[crash_at:]) == reference
+        finally:
+            reopened.close()
+
+
 @pytest.mark.slow
 def test_both_tiers_describe_shared_families_identically(tmp_path):
     """The engine and the coordinator render the same # HELP / # TYPE

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -10,10 +11,12 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.ratings.models import Rating
 from repro.service import RatingEngine, ServiceConfig, WriteAheadLog
+from repro.service.cluster.worker import _WorkerRuntime
 from repro.service.wal import (
     latest_snapshot,
     list_segments,
     list_snapshots,
+    rating_to_dict,
     read_snapshot,
     replay_wal,
     write_snapshot,
@@ -57,9 +60,10 @@ class TestWriteAheadLog:
         wal.close()  # close syncs the tail
         assert len(durations) == 3
 
-    def test_worker_flush_fsyncs_each_entry_once(self, tmp_path):
-        """A cluster-worker flush fsyncs its marker on append; the
-        sync() that follows has nothing left to fsync."""
+    def test_worker_flush_fsyncs_a_chunk_once(self, tmp_path):
+        """A 64-rating submit_many is one group commit: the flush
+        marker's sync() covers the whole chunk, and the group's end has
+        nothing left to fsync."""
         engine = RatingEngine(
             ServiceConfig(wal_dir=str(tmp_path), batch_max_ratings=64),
             trust_delegate=lambda digest: {},
@@ -67,7 +71,7 @@ class TestWriteAheadLog:
         engine.submit_many(make_stream(64))
         fsyncs = engine.metrics.histogram("repro_wal_fsync_seconds").count
         assert engine.wal.n_entries == 65  # 64 ratings + one flush marker
-        assert fsyncs == engine.wal.n_entries
+        assert fsyncs == 1
         engine.close()
 
     def test_invalid_fsync_every(self, tmp_path):
@@ -78,6 +82,122 @@ class TestWriteAheadLog:
         (tmp_path / "wal-000000000000.jsonl").write_text('{"rating_id": 0\nnot json\n')
         with pytest.raises(ConfigurationError):
             list(replay_wal(tmp_path))
+
+
+@pytest.fixture
+def fsynced(monkeypatch):
+    """inode -> the file's size at its latest ``os.fsync``."""
+    sizes = {}
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        real_fsync(fd)
+        stat = os.fstat(fd)
+        sizes[stat.st_ino] = stat.st_size
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    return sizes
+
+
+def _all_synced(wal, fsynced):
+    """True when every byte written to the active segment is fsynced."""
+    stat = wal.path.stat()
+    return fsynced.get(stat.st_ino, 0) == stat.st_size
+
+
+class TestGroupCommit:
+    """One fsync per group; nothing leaves before its rows are durable."""
+
+    def test_group_defers_fsync_to_the_outermost_exit(self, tmp_path, fsynced):
+        durations = []
+        wal = WriteAheadLog(tmp_path, on_fsync=durations.append)
+        stream = make_stream(6)
+        with wal.group_commit():
+            with wal.group_commit():
+                for rating in stream[:3]:
+                    wal.append(rating)
+            assert durations == []  # the inner exit does not sync
+            wal.append(stream[3])
+            # Each row already reached the OS: a process crash keeps it.
+            assert len(list(replay_wal(tmp_path))) == 4
+            assert not _all_synced(wal, fsynced)
+        assert len(durations) == 1
+        assert _all_synced(wal, fsynced)
+        with wal.group_commit():
+            wal.append(stream[4])
+            wal.sync()  # an explicit sync inside a group fsyncs at once
+            assert len(durations) == 2 and _all_synced(wal, fsynced)
+        assert len(durations) == 2  # nothing left for the group's end
+        wal.append(stream[5])  # outside a group: per fsync_every again
+        assert len(durations) == 3
+        wal.close()
+
+    def test_single_submits_fsync_each_rating(self, tmp_path):
+        engine = RatingEngine(ServiceConfig(wal_dir=str(tmp_path), **BASE))
+        for rating in make_stream(20):
+            engine.submit(rating)
+        assert engine.metrics.histogram("repro_wal_fsync_seconds").count == 20
+        engine.close()
+
+    def test_submit_many_fsyncs_once_per_chunk(self, tmp_path, fsynced):
+        engine = RatingEngine(ServiceConfig(wal_dir=str(tmp_path), **BASE))
+        results = engine.submit_many(iter(make_stream(150)))
+        assert len(results) == 150 and all(r.accepted for r in results)
+        # Chunks of 64, 64 and 22 ratings; returns after the last sync.
+        assert engine.metrics.histogram("repro_wal_fsync_seconds").count == 3
+        assert _all_synced(engine.wal, fsynced)
+        engine.close()
+
+    def test_digest_leaves_only_after_its_rows_are_synced(self, tmp_path, fsynced):
+        """A delegate-mode flush mid-group syncs first: the digest never
+        depends on a row a power loss could still take."""
+        unsynced_at_digest = []
+
+        def delegate(digest):
+            unsynced_at_digest.append(not _all_synced(engine.wal, fsynced))
+            return {}
+
+        engine = RatingEngine(
+            ServiceConfig(wal_dir=str(tmp_path), **{**BASE, "batch_max_ratings": 10}),
+            trust_delegate=delegate,
+        )
+        engine.submit_many(make_stream(64))  # one group, six flushes inside
+        assert unsynced_at_digest == [False] * 6
+        # One fsync per flush marker; the group's end syncs the last 4.
+        assert engine.metrics.histogram("repro_wal_fsync_seconds").count == 7
+        engine.close()
+
+    def test_worker_reports_processed_after_the_frame_fsync(self, tmp_path, fsynced):
+        """The worker commits an ingest frame as one group, and its
+        ``processed`` frame leaves only once that group is fsynced."""
+
+        class FakeConnection:
+            def __init__(self):
+                self.sent = []
+
+            def send_bytes(self, buf):
+                msg = json.loads(buf)
+                self.sent.append((msg, _all_synced(runtime.engine.wal, fsynced)))
+
+        conn = FakeConnection()
+        runtime = _WorkerRuntime(0, conn)
+        runtime.engine = RatingEngine(
+            ServiceConfig(wal_dir=str(tmp_path), **{**BASE, "batch_max_ratings": 1000}),
+            trust_delegate=lambda digest: {},
+        )
+        entries = [[g, rating_to_dict(r)] for g, r in enumerate(make_stream(60))]
+        for start in range(0, 60, 20):
+            runtime.handle_ingest(
+                {"type": "ingest", "entries": entries[start : start + 20]}
+            )
+        assert [(msg["type"], msg["n"], synced) for msg, synced in conn.sent] == [
+            ("processed", 20, True),
+            ("processed", 40, True),
+            ("processed", 60, True),
+        ]
+        fsyncs = runtime.engine.metrics.histogram("repro_wal_fsync_seconds").count
+        assert fsyncs == 3  # one per frame
+        runtime.engine.close()
 
 
 class TestSegments:
