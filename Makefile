@@ -18,7 +18,9 @@ DURABILITY_TESTS = \
 	tests/test_service_wal.py::TestGroupCommit \
 	tests/test_service_wal.py::TestSegments::test_torn_partial_line_dropped_once \
 	tests/test_service_wal.py::TestSegments::test_torn_unparseable_final_line_dropped_once \
-	tests/test_service_wal.py::TestCrashRecovery
+	tests/test_service_wal.py::TestCrashRecovery \
+	tests/test_service_wal.py::TestSnapshots::test_snapshot_every_counts_accepted_ratings \
+	tests/test_cli_service.py::TestReplay::test_reopening_a_replayed_wal_dir_recovers_its_flushes
 
 durability:
 	$(PYTHON) -m pytest -q $(DURABILITY_TESTS)

@@ -72,7 +72,6 @@ def _config(wal_dir: Path, backend: str) -> ServiceConfig:
         wal_dir=str(wal_dir),
         store_backend=backend,
         wal_segment_entries=SEGMENT_ENTRIES,
-        wal_fsync_every=256,  # building history, not measuring durability
         batch_max_ratings=4096,
         detector_window=12,
         detector_order=2,
@@ -83,7 +82,7 @@ def _config(wal_dir: Path, backend: str) -> ServiceConfig:
 
 def _build_history(wal_dir: Path, backend: str, n_total: int, suffix: int) -> None:
     """Run an engine to ``n_total`` ratings, snapshotting so exactly
-    ``suffix`` WAL entries stay uncovered, then crash it."""
+    ``suffix`` ratings stay uncovered, then crash it."""
     engine = RatingEngine(_config(wal_dir, backend))
     stream = _make_stream(n_total)
     engine.submit_many(stream[: n_total - suffix])

@@ -16,12 +16,11 @@ frames (:mod:`repro.service.cluster.framing`).
 from repro.service.cluster.coordinator import ClusterCoordinator
 from repro.service.cluster.framing import recv_msg, send_msg
 from repro.service.cluster.ring import ConsistentHashRing
-from repro.service.cluster.worker import compute_watermark, worker_main
+from repro.service.cluster.worker import worker_main
 
 __all__ = [
     "ClusterCoordinator",
     "ConsistentHashRing",
-    "compute_watermark",
     "recv_msg",
     "send_msg",
     "worker_main",

@@ -24,8 +24,9 @@ crash are recognized and skipped while the reply still refreshes the
 worker's read mirror.
 
 **Failure model**: every acked rating is in the ingest WAL.  Workers
-stamp each applied entry with its coordinator sequence number (WAL
-meta + snapshot ``client_meta``), and report that *watermark* on
+log each applied entry's coordinator sequence number as its WAL meta
+(snapshots keep the highest in ``client_meta``), and report that
+*watermark*, as the worker's recovery replay rebuilt it, on
 (re)connect; the coordinator redelivers owned entries above it.  A
 worker death therefore costs a restart + bounded replay, never an
 acked rating: the supervisor restarts the process, the worker recovers

@@ -16,11 +16,11 @@ restart, which is what makes supervision simple):
    digests through it (the coordinator deduplicates by digest seq);
 2. recover (or freshly create) the engine from the worker's WAL
    subdirectory;
-3. compute the **watermark** -- the highest coordinator sequence
-   number this worker has durably processed: the snapshot's
-   ``client_meta["coord_seq"]`` covers the garbage-collected prefix,
-   and the ``meta={"g": ...}`` stamps on the on-disk WAL suffix cover
-   everything since;
+3. read the **watermark** -- the highest coordinator sequence number
+   this worker has durably processed -- from ``client_meta["g"]``: the
+   snapshot carries it for the prefix, and the recovery replay merges
+   the ``{"g": ...}`` meta of every WAL row since, so the one replay
+   that rebuilds the engine also yields the watermark;
 4. send ``hello`` with the watermark; the coordinator replies
    ``welcome`` with the current trust table (without this a recovered
    worker would serve scores from an empty mirror until its next
@@ -28,8 +28,9 @@ restart, which is what makes supervision simple):
    watermark;
 5. run the frame loop: apply each ``ingest`` frame through
    ``engine.submit`` inside one :meth:`RatingEngine.group_commit`
-   (stamping each entry's coordinator seq into the WAL meta and
-   ``client_meta``), answer ``rpc`` frames, and report cumulative
+   (passing each entry's coordinator seq as its ``wal_meta``, which
+   the engine also merges into ``client_meta``, rejected entries
+   included), answer ``rpc`` frames, and report cumulative
    ``processed`` counts for the coordinator's credit-based
    backpressure window.  The frame's WAL rows are fsynced once, when
    its group closes, and ``processed`` is sent only after that; a
@@ -58,28 +59,20 @@ from repro.ratings.models import Rating
 from repro.service.cluster.framing import recv_msg, send_msg
 from repro.service.config import ServiceConfig
 from repro.service.engine import RatingEngine
-from repro.service.wal import rating_from_dict, replay_wal_meta, wal_exists
+from repro.service.wal import rating_from_dict, wal_exists
 
-__all__ = ["worker_main", "compute_watermark"]
+__all__ = ["worker_main"]
 
 
-def compute_watermark(engine: RatingEngine) -> int:
-    """Highest coordinator seq durably processed by this worker.
+def _watermark(engine: RatingEngine) -> int:
+    """Highest coordinator seq this worker has processed (-1 = none).
 
-    ``client_meta["coord_seq"]`` from the latest snapshot covers every
-    entry the snapshot saw (including rejected ones, which never reach
-    the worker WAL); the ``g`` metas on the on-disk WAL suffix cover
-    accepted entries since.  ``-1`` means "nothing yet" -- the
-    coordinator redelivers from sequence 0.
+    Snapshots written before the watermark was the merged ``"g"`` meta
+    kept it under ``"coord_seq"``; such a snapshot's value holds until
+    the worker processes its next entry.
     """
-    watermark = int(engine.client_meta.get("coord_seq", -1))
-    if engine.wal is not None:
-        for _, _, meta in replay_wal_meta(
-            engine.wal.directory, start=engine.wal.first_seq
-        ):
-            if meta is not None and "g" in meta:
-                watermark = max(watermark, int(meta["g"]))
-    return watermark
+    meta = engine.client_meta
+    return int(meta.get("g", meta.get("coord_seq", -1)))
 
 
 class _WorkerRuntime:
@@ -152,13 +145,7 @@ class _WorkerRuntime:
         # before the frame is reported processed below.
         with self.engine.group_commit():
             for g, row in msg["entries"]:
-                rating = rating_from_dict(row)
-                # Stamp the coordinator seq before the submit: accepted
-                # entries carry it in their WAL meta, and the snapshot's
-                # client_meta covers rejected ones (which are never
-                # logged locally but must not be redelivered forever).
-                self.engine.client_meta["coord_seq"] = int(g)
-                self.engine.submit(rating, wal_meta={"g": int(g)})
+                self.engine.submit(rating_from_dict(row), wal_meta={"g": int(g)})
         self._processed += len(msg["entries"])
         self.send(
             {"type": "processed", "worker": self.index, "n": self._processed}
@@ -199,9 +186,7 @@ class _WorkerRuntime:
                 # Phase 2: persist local state; the reported watermark
                 # lets the coordinator GC its ingest WAL.
                 self.engine.snapshot()
-                reply["watermark"] = int(
-                    self.engine.client_meta.get("coord_seq", -1)
-                )
+                reply["watermark"] = _watermark(self.engine)
             elif op == "shutdown":
                 # close() flushes first, so the final digests reach the
                 # coordinator while its reader still serves replies.
@@ -263,11 +248,7 @@ def worker_main(index: int, address: str, authkey: bytes, config: dict) -> None:
             engine = RatingEngine(
                 config=worker_config, trust_delegate=runtime.trust_delegate
             )
-        watermark = compute_watermark(engine)
-        # Fold the scanned watermark back into client_meta so a later
-        # snapshot (and its GC horizon report) cannot regress below
-        # entries the recovery replay already covered.
-        engine.client_meta["coord_seq"] = watermark
+        watermark = _watermark(engine)
         runtime.engine = engine
         runtime.send({"type": "hello", "worker": index, "watermark": watermark})
         welcome = runtime._control.get()

@@ -47,8 +47,9 @@ class ServiceConfig:
             trust manager after this many ingested ratings (the ``K``
             of flush-every-K-or-T).
         batch_max_seconds: also flush when this much wall time passed
-            since the last flush (None disables the deadline;
-            deterministic replays should disable it).
+            since the last flush (None disables the deadline).  Like
+            every flush, a deadline flush is logged in the WAL, so
+            recovery reproduces it.
         detector_order: AR model order of the per-product streaming
             detector.
         detector_window: ratings per streaming analysis window.
@@ -93,7 +94,6 @@ class ServiceConfig:
             places its sqlite file in a ``store/`` subdirectory;
             without a ``wal_dir`` it falls back to in-memory sqlite
             (no durability).
-        wal_fsync_every: fsync the WAL every N appends.
         wal_segment_entries: entries per WAL segment file; the log
             rotates to a new segment after this many appends, and the
             garbage collector reclaims whole segments behind the
@@ -120,8 +120,8 @@ class ServiceConfig:
             bounds the acked ratings a power loss can take: those past
             the last coordinator fsync whose worker had not yet fsynced
             them.  Workers fsync once per ingest frame (a group commit
-            of up to 64 entries, before reporting it processed); their
-            ``wal_fsync_every`` governs only ratings outside a group.
+            of up to 64 entries, before reporting it processed).  An
+            engine's own WAL fsyncs each row written outside a group.
     """
 
     n_shards: int = 1
@@ -142,7 +142,6 @@ class ServiceConfig:
     trust_forgetting_factor: float = 1.0
     store_backend: str = "memory"
     wal_dir: Optional[str] = None
-    wal_fsync_every: int = 1
     wal_segment_entries: int = 100_000
     wal_gc: bool = True
     snapshot_every: int = 0
@@ -173,10 +172,6 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"unknown store_backend {self.store_backend!r}; "
                 f"choose from ['memory', 'tiered']"
-            )
-        if self.wal_fsync_every < 1:
-            raise ConfigurationError(
-                f"wal_fsync_every must be >= 1, got {self.wal_fsync_every}"
             )
         if self.wal_segment_entries < 1:
             raise ConfigurationError(

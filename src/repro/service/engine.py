@@ -30,7 +30,10 @@ long-running, thread-safe serving component:
   write-ahead log *before* touching in-memory state; :meth:`snapshot`
   persists the bounded engine state (ensemble state included) and
   :meth:`recover` rebuilds a crashed engine bit-for-bit by replaying
-  the WAL over the latest snapshot.  :meth:`submit_many` and the
+  the WAL over the latest snapshot.  Every trust flush is logged as a
+  control row, and a replay flushes at those rows alone, so a
+  recovered engine flushes where the live one did, whatever triggered
+  the flush.  :meth:`submit_many` and the
   cluster worker group-commit the log (:meth:`group_commit`): one
   fsync per chunk or ingest frame, not per rating.  Nothing leaves
   the process before the log rows it depends on are fsynced.
@@ -50,7 +53,7 @@ import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.aggregation.methods import ModifiedWeightedAverage
 from repro.errors import ConfigurationError, UnknownProductError
@@ -216,10 +219,11 @@ class RatingEngine:
         self._trust_delegate = trust_delegate or self._apply_to_own_ledger
         # The last trust table the ledger returned; serves every read.
         self._trust_mirror: Dict[int, float] = {}
-        # Opaque client bookkeeping persisted with every snapshot; the
-        # cluster worker records the coordinator sequence number it has
-        # processed through here, so redelivery after recovery can skip
-        # entries the snapshot already covers.
+        # Opaque client bookkeeping persisted with every snapshot: each
+        # submit's ``wal_meta`` is merged in, rejected submits included,
+        # and so is each replayed row's.  The cluster worker reads the
+        # coordinator sequence number ``"g"`` back from here as its
+        # redelivery watermark.
         self.client_meta: Dict[str, int] = {}
         # Flushes so far; the next digest's seq is one more.
         self._n_trust_updates = 0
@@ -308,7 +312,6 @@ class RatingEngine:
         if self.config.wal_dir is not None:
             self.wal = WriteAheadLog(
                 Path(self.config.wal_dir),
-                fsync_every=self.config.wal_fsync_every,
                 segment_entries=self.config.wal_segment_entries,
                 on_fsync=self._m_fsync.observe,
                 on_rotate=self._m_wal_segments.set,
@@ -361,21 +364,15 @@ class RatingEngine:
         are reported in the result, never raised -- a serving loop must
         not die on one bad client.
 
-        ``wal_meta`` is an optional JSON-serializable dict stored with
-        the rating's WAL entry (see :meth:`WriteAheadLog.append`); the
-        cluster worker threads its coordinator sequence number through
-        here.
+        ``wal_meta`` is an optional dict of ints stored with the
+        rating's WAL entry (see :meth:`WriteAheadLog.append`) and merged
+        into :attr:`client_meta`; the cluster worker threads its
+        coordinator sequence number through here.
         """
         start = time.perf_counter()
-        result = self._ingest(rating, log=True, wal_meta=wal_meta)
+        result, snapshot_due = self._ingest(rating, log=True, wal_meta=wal_meta)
         self._m_latency.observe(time.perf_counter() - start)
-        if (
-            result.accepted
-            and self.wal is not None
-            and self.config.snapshot_every
-            and not self._recovering
-            and (result.seq + 1) % self.config.snapshot_every == 0
-        ):
+        if snapshot_due:
             self.snapshot()
         return result
 
@@ -426,8 +423,17 @@ class RatingEngine:
         log: bool,
         seq: Optional[int] = None,
         wal_meta: Optional[dict] = None,
-    ) -> SubmitResult:
+    ) -> Tuple[SubmitResult, bool]:
+        """Log (when ``log``) and apply one rating.
+
+        Returns the result and whether an automatic snapshot is due.
+        The snapshot is decided here, under the lock, from the accepted
+        count, so each multiple of ``snapshot_every`` is claimed by
+        exactly one submit even when threads race.
+        """
         with self._lock:
+            if wal_meta:
+                self.client_meta.update(wal_meta)
             last = self._last_time.get(rating.product_id)
             if last is not None and rating.time < last:
                 self._n_rejected += 1
@@ -438,15 +444,21 @@ class RatingEngine:
                         f"out-of-order rating for product {rating.product_id}: "
                         f"{rating.time} after {last}"
                     ),
-                )
+                ), False
             if log and self.wal is not None:
                 seq = self.wal.append(rating, meta=wal_meta)
             if seq is None:
                 seq = self._n_accepted
             flagged = self._apply(rating, seq)
             self._n_accepted += 1
+            snapshot_due = bool(
+                log
+                and self.wal is not None
+                and self.config.snapshot_every
+                and self._n_accepted % self.config.snapshot_every == 0
+            )
         self._m_accepted.inc()
-        return SubmitResult(accepted=True, seq=seq, flagged=flagged)
+        return SubmitResult(accepted=True, seq=seq, flagged=flagged), snapshot_due
 
     def _add_to_store(self, rating: Rating, seq: Optional[int]) -> None:
         """Register the rating's product/rater and store the row (lock held)."""
@@ -496,12 +508,10 @@ class RatingEngine:
         self._since_flush += 1
         self._m_queue_depth.set(self._since_flush)
 
-        if self._recovering and self._ledger is None:
-            # In delegate mode every flush leaves a control marker in
-            # the WAL, and recovery replays flushes from those markers
-            # alone; letting the cadence triggers fire here too would
-            # flush at different positions than the original run and
-            # desynchronize the digest seq numbering.
+        if self._recovering:
+            # Every flush left a control marker in the WAL, and a replay
+            # flushes at those markers alone: the cadence triggers would
+            # miss explicit and deadline flushes and misnumber digests.
             return flagged
         if self._since_flush >= self.config.batch_max_ratings or (
             self.config.batch_max_seconds is not None
@@ -550,20 +560,21 @@ class RatingEngine:
             "suspicion": self._combine(per_source, self._source_weights),
             "flagged": flagged_counts,
         }
-        if self._ledger is None and self.wal is not None:
-            # Cluster-worker mode: the digest's underlying WAL entries
-            # must be durable before the digest escapes the process: if
-            # the receiver applies it and we crash with an unfsynced
-            # tail, replay would regenerate a *different* digest under
-            # the same seq and the receiver's dedup would silently drop
-            # it.  The flush itself is recorded as a control marker so
-            # replay reproduces it at exactly this log position --
-            # without the marker, recovery would re-accumulate the
-            # flushed tallies and re-use this digest's seq for
-            # different contents.
+        if self.wal is not None:
+            # The flush is recorded as a control marker so a replay
+            # reproduces it at exactly this log position -- without it,
+            # recovery would re-accumulate the flushed tallies and
+            # re-use this digest's seq for different contents.
             if not self._recovering:
                 self.wal.append_control({"flush": 0})
-            self.wal.sync()
+            if self._ledger is None:
+                # Cluster-worker mode: the digest's WAL rows must be
+                # durable before the digest escapes the process: if the
+                # receiver applies it and we crash with an unfsynced
+                # tail, replay would regenerate a *different* digest
+                # under the same seq and the receiver's dedup would
+                # silently drop it.
+                self.wal.sync()
         # The delegate call (an RPC in the cluster) runs outside
         # _trust_lock so trust reads stay available meanwhile.
         self.install_trust_mirror(self._trust_delegate(digest))
@@ -583,10 +594,10 @@ class RatingEngine:
     def _replay_control(self, meta: Optional[dict]) -> None:
         """Re-execute one WAL control row during recovery.
 
-        The only control row today is the delegate-mode flush marker
-        ``{"flush": ...}``: replaying it flushes at the marker's log
-        position, regenerating the original digest (same seq, same
-        contents) for the coordinator to deduplicate or apply.
+        The only control row is the flush marker ``{"flush": 0}``
+        that every trust flush logs: replaying it flushes at the
+        marker's log position, regenerating the original digest (same
+        seq, same contents) for the ledger to deduplicate or apply.
         """
         control = (meta or {}).get("control") or {}
         if "flush" in control:
@@ -788,8 +799,8 @@ class RatingEngine:
             else {"trust": {}, "suspicion_totals": {}}
         )
         # With a WAL, the covered position is its true entry count --
-        # delegate-mode flush markers occupy sequence numbers without
-        # being accepted ratings, so the two counters can differ.
+        # flush markers occupy sequence numbers without being accepted
+        # ratings, so the two counters differ.
         wal_position = (
             self.wal.n_entries if self.wal is not None else self._n_accepted
         )
@@ -1004,7 +1015,7 @@ class RatingEngine:
                 if rating is None:
                     engine._replay_control(meta)
                 else:
-                    engine._ingest(rating, log=False, seq=seq)
+                    engine._ingest(rating, log=False, seq=seq, wal_meta=meta)
         finally:
             engine._recovering = False
         return engine

@@ -418,9 +418,9 @@ class WriteAheadLog:
         """Append a non-rating **control row**; returns its sequence number.
 
         Control rows record replayable events that are not ratings --
-        a cluster worker's engine writes ``{"flush": 0}`` markers so a
-        recovering worker reproduces its explicit trust-digest flushes
-        at exactly the positions they originally happened.  They share
+        every engine writes a ``{"flush": 0}`` marker at each trust
+        flush, so a recovering engine flushes at exactly the positions
+        the live one did, whatever triggered the flush.  They share
         the rating rows' sequence space (so snapshot positions and GC
         horizons stay consistent) and the same rotation/fsync policy.
         :func:`replay_wal` skips them; :func:`replay_wal_meta` yields
@@ -591,8 +591,9 @@ def replay_wal_meta(
 
     Yields ``(seq, rating, meta)`` where ``meta`` is the dict passed to
     :meth:`WriteAheadLog.append` for that entry, or ``None`` for
-    entries written without one.  The cluster tier reads it to recover
-    each worker-log entry's coordinator sequence number.
+    entries written without one.  Recovery merges it into the engine's
+    ``client_meta``, which is how a cluster worker recovers the
+    coordinator sequence number it has processed through.
 
     Control rows (:meth:`WriteAheadLog.append_control`) are yielded as
     ``(seq, None, {"control": payload})`` so replay-driven recovery can

@@ -372,7 +372,6 @@ EXPECTED_EXPORTS = {
     "repro.service.cluster": [
         "ClusterCoordinator",
         "ConsistentHashRing",
-        "compute_watermark",
         "recv_msg",
         "send_msg",
         "worker_main",

@@ -112,3 +112,33 @@ class TestReplay:
 
         assert wal_exists(wal_dir)
         assert (wal_dir / "wal-000000000000.jsonl").exists()
+
+    def test_reopening_a_replayed_wal_dir_recovers_its_flushes(
+        self, trace_csv, tmp_path, capsys
+    ):
+        """`repro replay --wal-dir D` ends with an explicit flush and a
+        close, no snapshot; reopening D (as `repro serve --wal-dir D`
+        does) must recover that last flush too."""
+        wal_dir, stats_json = tmp_path / "wal", tmp_path / "stats.json"
+        knobs = ["--batch", "16", "--window", "12", "--stride", "3",
+                 "--threshold", "0.2"]  # 120 ratings: 8 pending at the end
+        code = cli.main(
+            ["replay", str(trace_csv), *knobs, "--wal-dir", str(wal_dir),
+             "--json", str(stats_json)]
+        )
+        assert code == 0
+        stats = json.loads(stats_json.read_text())
+        assert stats["pending"] == 0
+
+        parser = cli.build_parser()
+        reopened = cli._build_engine(
+            parser.parse_args(["serve", *knobs, "--wal-dir", str(wal_dir)])
+        )
+        reference = cli._build_engine(parser.parse_args(["serve", *knobs]))
+        reference.submit_many(make_stream(120))
+        reference.flush()
+        assert reopened.snapshot_stats()["trust_updates"] == stats["trust_updates"]
+        assert reopened.snapshot_stats()["pending"] == 0
+        assert reopened.trust_table() == reference.trust_table()
+        assert reopened.detected_malicious() == reference.detected_malicious()
+        reopened.close()

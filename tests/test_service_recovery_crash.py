@@ -3,8 +3,9 @@
 Unlike `tests/test_service_wal.py` (which simulates crashes by
 dropping engine objects in-process), these tests run the engine in a
 child interpreter and kill it with ``SIGKILL`` -- no atexit hooks, no
-garbage collection, no chance to flush.  With ``wal_fsync_every=1``
-every accepted rating is durable before it mutates state, so the
+garbage collection, no chance to flush.  Every accepted rating
+reaches the OS before it mutates state, and ``submit_many`` fsyncs
+each chunk before it returns, so the
 parent must recover **all** of them, bit-for-bit, from whatever the
 kill left on disk: mid-segment, just after a rotation, or with a torn
 trailing record.
@@ -42,7 +43,6 @@ config = ServiceConfig(
     store_backend=backend,
     wal_segment_entries=int(seg),
     snapshot_every=int(snap),
-    wal_fsync_every=1,
     **BASE,
 )
 engine = RatingEngine(config)
@@ -88,7 +88,6 @@ def _config(wal_dir, backend="memory", seg=1000, snap=0):
         store_backend=backend,
         wal_segment_entries=seg,
         snapshot_every=snap,
-        wal_fsync_every=1,
         **BASE,
     )
 
@@ -146,15 +145,17 @@ class TestSigkill:
         recovered = RatingEngine.recover(
             crash_dir, config=_config(crash_dir, backend=backend, seg=40)
         )
-        _assert_equivalent(recovered, _reference(tmp_path, 90, backend))
+        reference = _reference(tmp_path, 90, backend)
+        _assert_equivalent(recovered, reference)
         recovered.close()
 
         # The repair truncated the torn bytes away: a second open sees
-        # a clean log with the same entry count.
+        # a clean log with the same entry count -- 90 ratings plus one
+        # marker per flush, the recovered engine's final one included.
         from repro.service import WriteAheadLog
 
         wal = WriteAheadLog(crash_dir, segment_entries=40)
-        assert wal.n_entries == 90
+        assert wal.n_entries == 90 + reference.snapshot_stats()["trust_updates"]
         wal.close()
 
     def test_recovered_engine_continues_the_stream(self, tmp_path, backend):

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.ratings.models import Rating
@@ -136,7 +139,8 @@ class TestGroupCommit:
         engine = RatingEngine(ServiceConfig(wal_dir=str(tmp_path), **BASE))
         for rating in make_stream(20):
             engine.submit(rating)
-        assert engine.metrics.histogram("repro_wal_fsync_seconds").count == 20
+        fsyncs = engine.metrics.histogram("repro_wal_fsync_seconds").count
+        assert fsyncs == engine.wal.n_entries  # 20 ratings + 2 flush markers
         engine.close()
 
     def test_submit_many_fsyncs_once_per_chunk(self, tmp_path, fsynced):
@@ -362,6 +366,19 @@ class TestSnapshots:
         assert latest_snapshot(tmp_path).name == "snapshot-000000000200.json"
         assert len(list_snapshots(tmp_path)) == 3
 
+    def test_snapshot_every_counts_accepted_ratings(self, tmp_path):
+        """Flush markers take WAL positions, not snapshot turns."""
+        engine = RatingEngine(
+            ServiceConfig(
+                wal_dir=str(tmp_path), snapshot_every=10, wal_gc=False, **BASE
+            )
+        )
+        engine.submit_many(make_stream(30))
+        snapshots = [read_snapshot(path) for path in list_snapshots(tmp_path)]
+        assert [s["n_accepted"] for s in snapshots] == [10, 20, 30]
+        assert snapshots[-1]["wal_position"] == 30 + 3  # 3 flush markers
+        engine.close()
+
     def test_snapshot_size_is_flat_in_flushes(self, tmp_path):
         """Snapshots hold bounded state: over a fixed rater set, four
         times the flushes leave the file size flat (no per-rater,
@@ -494,3 +511,105 @@ class TestCrashRecovery:
         engine = RatingEngine(ServiceConfig(**BASE))
         with pytest.raises(ConfigurationError):
             engine.snapshot()
+
+    def test_recovery_replay_rebuilds_the_client_meta_watermark(self, tmp_path):
+        """Each submit's ``wal_meta`` is merged into ``client_meta``,
+        rejected submits included; a snapshot keeps it and the replay
+        of the WAL suffix rebuilds the rest (the cluster worker's
+        redelivery watermark)."""
+        config = ServiceConfig(wal_dir=str(tmp_path), **BASE)
+        stream = make_stream(40)
+        engine = RatingEngine(config)
+        for g, rating in enumerate(stream[:20]):
+            engine.submit(rating, wal_meta={"g": g})
+        stale = Rating(99, 1, stream[19].product_id, 0.5, time=0.0)
+        assert not engine.submit(stale, wal_meta={"g": 20}).accepted
+        assert engine.client_meta == {"g": 20}
+        engine.snapshot()
+        for g, rating in enumerate(stream[20:], start=21):
+            engine.submit(rating, wal_meta={"g": g})
+        _crash(engine)
+        assert RatingEngine.recover(tmp_path).client_meta == {"g": 40}
+
+    # A recovered engine must flush where the live one did, whatever
+    # triggered the flush: the count cadence, an explicit flush(), the
+    # close() flush or the wall-clock deadline.
+
+    def test_explicit_flush_mid_stream_then_crash(self, tmp_path):
+        stream = make_stream(110, seed=3)
+        config = ServiceConfig(wal_dir=str(tmp_path), **BASE)
+        live = RatingEngine(config)
+        cuts = [0, 13, 38, 62, 87, 100]  # none a multiple of the batch
+        for start, stop in zip(cuts, cuts[1:]):
+            live.submit_many(stream[start:stop])
+            live.flush()
+        live.submit_many(stream[100:])
+        _crash(live)
+        _assert_recovers_equal(live, RatingEngine.recover(tmp_path, config=config))
+
+    def test_close_then_recover_without_snapshot(self, tmp_path):
+        config = ServiceConfig(wal_dir=str(tmp_path), **BASE)
+        live = RatingEngine(config)
+        live.submit_many(make_stream(61, seed=4))  # 5 ratings pending
+        live.close()
+        _assert_recovers_equal(live, RatingEngine.recover(tmp_path, config=config))
+
+    def test_deadline_flushes_recover_at_their_positions(self, tmp_path, monkeypatch):
+        # A clock that advances at every reading: 10 ms while live, 1 s
+        # during the replay, which must not flush on its own deadline.
+        clock = {"now": 0.0, "step": 0.01}
+
+        def monotonic():
+            clock["now"] += clock["step"]
+            return clock["now"]
+
+        monkeypatch.setattr("repro.service.engine.time.monotonic", monotonic)
+        config = ServiceConfig(
+            wal_dir=str(tmp_path),
+            **{**BASE, "batch_max_ratings": 10_000, "batch_max_seconds": 0.13},
+        )
+        live = RatingEngine(config)
+        live.submit_many(make_stream(90, seed=5))
+        assert live.snapshot_stats()["trust_updates"] > 5
+        _crash(live)
+        clock["step"] = 1.0
+        _assert_recovers_equal(live, RatingEngine.recover(tmp_path, config=config))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        flush_at=st.lists(st.integers(min_value=1, max_value=79), max_size=6),
+        snapshot_at=st.one_of(st.none(), st.integers(min_value=1, max_value=79)),
+        backend=st.sampled_from(["memory", "tiered"]),
+    )
+    def test_any_flush_positions_recover_exactly(self, flush_at, snapshot_at, backend):
+        stream = make_stream(80, seed=6)
+        with tempfile.TemporaryDirectory() as wal_dir:
+            config = ServiceConfig(wal_dir=wal_dir, store_backend=backend, **BASE)
+            live = RatingEngine(config)
+            for i, rating in enumerate(stream):
+                live.submit(rating)
+                if i + 1 in flush_at:
+                    live.flush()
+                if i + 1 == snapshot_at:
+                    live.snapshot()
+            _crash(live)
+            recovered = RatingEngine.recover(wal_dir, config=config)
+            _assert_recovers_equal(live, recovered)
+            recovered.close()
+
+
+def _crash(engine):
+    """Drop an engine without flush/close; only its WAL lock goes."""
+    engine.wal.close()
+
+
+def _assert_recovers_equal(live, recovered):
+    """The recovered engine's trust state equals the live engine's."""
+    assert recovered.trust_table() == live.trust_table()
+    assert recovered.suspicion_table() == live.suspicion_table()
+    assert recovered.detected_malicious() == live.detected_malicious()
+    rec, ref = recovered.snapshot_stats(), live.snapshot_stats()
+    for key in ("trust_updates", "pending", "n_accepted"):
+        assert rec[key] == ref[key], key
+    for product_id in range(3):
+        assert recovered.score(product_id) == live.score(product_id)
