@@ -7,11 +7,13 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # The crash and durability tests, by name: worker SIGKILL, lost ingest-WAL
-# tail, torn tail, SIGTERM drain, real-process recovery crashes, and the
-# group-commit invariant and power-loss tests.
+# tail, coordinator SIGKILL after acks, torn tail, SIGTERM drain,
+# real-process recovery crashes, and the group-commit invariant and
+# power-loss tests.
 DURABILITY_TESTS = \
 	tests/test_service_cluster.py::TestWorkerCrashRecovery \
 	tests/test_service_cluster.py::TestPowerLoss \
+	tests/test_service_cluster.py::TestCoordinatorProcessKill \
 	tests/test_service_cluster.py::test_serve_sigterm_drains_cluster \
 	tests/test_service_recovery_crash.py \
 	tests/test_service_wal.py::TestWriteAheadLog::test_worker_flush_fsyncs_a_chunk_once \

@@ -175,7 +175,8 @@ class TrustEnhancedRatingSystem:
                 suspicion_report=suspicion,
             )
 
-        report.trust_after = self.trust_manager.update()
+        self.trust_manager.update()
+        report.trust_after = self.trust_manager.trust_table()
         report.detected_malicious = self.trust_manager.detected_malicious()
         self.interval_reports.append(report)
         return report

@@ -18,10 +18,11 @@ backpressure, not unbounded memory.
 (provided counts, combined suspicion, flagged counts) to the
 coordinator's :class:`~repro.service.ledger.TrustLedger` -- the same
 code the in-process engine applies its own digests with -- and receive
-the authoritative post-update trust table in reply.  Digests carry the
-worker's deterministic flush counter, so redelivered digests after a
-crash are recognized and skipped while the reply still refreshes the
-worker's read mirror.
+in reply the trusts changed since their last reply, which they merge
+into their read mirror (a (re)connecting worker gets the full table
+in ``welcome``).  Digests carry the worker's deterministic flush
+counter, so redelivered digests after a crash are recognized and
+skipped while the reply still refreshes the worker's read mirror.
 
 **Failure model**: every acked rating is in the ingest WAL.  Workers
 log each applied entry's coordinator sequence number as its WAL meta
@@ -377,9 +378,9 @@ class ClusterCoordinator:
         self.wal.sync()
 
     def _welcome(self, handle: _WorkerHandle) -> None:
-        """Push the current trust table so a recovered worker's read
+        """Push the full trust table so a recovered worker's read
         mirror is warm before it serves a single score."""
-        table = self._ledger.trust_table()
+        table = self._ledger.welcome(handle.index)
         with handle.send_lock:
             send_msg(handle.conn, {"type": "welcome", "table": table})
 
@@ -497,16 +498,17 @@ class ClusterCoordinator:
     def _apply_digest(
         self, handle: _WorkerHandle, digest: dict, conn: Connection
     ) -> None:
-        """Apply one worker flush digest and reply with the trust table.
+        """Apply one worker flush digest and reply with the trusts
+        that changed since the worker's last reply.
 
         Redelivered digests (replays after a crash) change nothing but
         are still answered, so the worker's mirror refreshes.
         """
-        new, table = self._ledger.apply(digest, handle.index)
+        new, changed = self._ledger.apply(digest, handle.index)
         if new:
             self._m_trust_updates.inc()
         with handle.send_lock:
-            send_msg(conn, {"type": "trust", "table": table})
+            send_msg(conn, {"type": "trust", "changed": changed})
 
     # -- supervision ---------------------------------------------------------
 
@@ -712,24 +714,16 @@ class ClusterCoordinator:
     def submit(self, rating: Rating) -> SubmitResult:
         """Durably log one rating and queue it to its owning worker.
 
-        The ack means *durably queued*: the rating is in the ingest WAL
-        (fsynced every ``cluster_ack_fsync_every`` appends) and will
-        reach the owning worker even across worker crashes.  Rejection
-        (out-of-order time) happens asynchronously at the worker, so an
-        acked rating can still be refused later -- mirroring any
-        at-least-once ingestion pipeline.  A full worker queue blocks
-        here (backpressure).
+        The ack means *durably queued*: the rating is in the ingest WAL,
+        handed to the OS before the ack (so a process kill keeps it)
+        and fsynced every ``cluster_ack_fsync_every`` appends, and it
+        will reach the owning worker even across worker crashes.
+        Rejection (out-of-order time) happens asynchronously at the
+        worker, so an acked rating can still be refused later --
+        mirroring any at-least-once ingestion pipeline.  A full worker
+        queue blocks here (backpressure).
         """
-        start = time.perf_counter()
-        if self._closing:
-            raise ReproError("cluster is shutting down")
-        handle = self._handles[self.ring.owner(rating.product_id)]
-        with self._route_lock:
-            seq = self.wal.append(rating)
-            handle.queue.put([seq, rating_to_dict(rating)])
-        result = self._ack(seq)
-        self._m_latency.observe(time.perf_counter() - start)
-        return result
+        return self.submit_many([rating])[0]
 
     def _ack(self, seq: int) -> SubmitResult:
         """Acknowledge a durably-queued rating (lint DP02 ack provider)."""
@@ -737,8 +731,36 @@ class ClusterCoordinator:
         return SubmitResult(accepted=True, seq=seq, queued=True)
 
     def submit_many(self, ratings) -> List[SubmitResult]:
-        """Ingest a batch; returns one (queued) result per rating."""
-        return [self.submit(rating) for rating in ratings]
+        """Ingest a batch as :meth:`submit` does; one result per rating.
+
+        Each chunk of :data:`GROUP_COMMIT_MAX` ratings is handed to the
+        OS in one write, before its acks.
+        """
+        results: List[SubmitResult] = []
+        iterator = iter(ratings)
+        while True:
+            chunk = list(itertools.islice(iterator, GROUP_COMMIT_MAX))
+            if not chunk:
+                return results
+            start = time.perf_counter()
+            seqs = []
+            for position, rating in enumerate(chunk, 1):
+                if self._closing:
+                    raise ReproError("cluster is shutting down")
+                handle = self._handles[self.ring.owner(rating.product_id)]
+                with self._route_lock:
+                    seq = self.wal.append(rating)
+                    if position == len(chunk):
+                        # The write goes before the put: the GIL it
+                        # releases would otherwise go to the sender
+                        # thread the put wakes, and the ack would wait
+                        # for that thread's frame.
+                        self.wal.flush()
+                    handle.queue.put([seq, rating_to_dict(rating)])
+                seqs.append(seq)
+            for seq in seqs:
+                results.append(self._ack(seq))
+                self._m_latency.observe(time.perf_counter() - start)
 
     @property
     def n_accepted(self) -> int:
@@ -851,76 +873,65 @@ class ClusterCoordinator:
                 merged["sources"][name]["n_evictions"] += source["n_evictions"]
         return merged
 
+    def _poll(self, op: str) -> List[Optional[dict]]:
+        """``op``'s rpc value per worker; None where the worker is down
+        or fails to answer."""
+        values: List[Optional[dict]] = []
+        for handle in self._handles:
+            try:
+                values.append(self._rpc(handle, op)["value"])
+            except ReproError:
+                values.append(None)
+        return values
+
+    def _worker_entries(self, op: str) -> List[dict]:
+        """``{"worker": i, "up": ...}`` plus ``op``'s value, per worker."""
+        return [
+            {"worker": index, "up": value is not None, **(value or {})}
+            for index, value in enumerate(self._poll(op))
+        ]
+
     def ensemble_stats(self) -> dict:
         """Merged detector-ensemble config + counters across workers."""
-        per_worker = []
-        for handle in self._handles:
-            if not handle.up:
-                continue
-            try:
-                per_worker.append(self._rpc(handle, "ensemble")["value"])
-            except ReproError:
-                continue
-        return self._merge_ensembles(per_worker)
+        return self._merge_ensembles(
+            [value for value in self._poll("ensemble") if value is not None]
+        )
 
     def snapshot_stats(self) -> dict:
         """Cluster-wide counters: coordinator view + per-worker stats."""
-        workers = []
-        totals = {"evaluations": 0, "flagged": 0, "rejected": 0, "products": 0}
-        ensembles = []
-        for handle in self._handles:
-            entry: dict = {"worker": handle.index, "up": handle.up}
-            if handle.up:
-                try:
-                    stats = self._rpc(handle, "stats")["value"]
-                except ReproError:
-                    entry["up"] = False
-                else:
-                    entry.update(stats)
-                    totals["evaluations"] += int(stats["ar_evaluations"])
-                    totals["flagged"] += int(stats["windows_flagged"])
-                    totals["rejected"] += int(stats["n_rejected"])
-                    totals["products"] += int(stats["n_products"])
-                    ensembles.append(stats["ensemble"])
-            workers.append(entry)
-        self._m_rejected.inc_to(totals["rejected"])
-        self._m_flagged.inc_to(totals["flagged"])
-        self._m_refits.inc_to(totals["evaluations"])
+        workers = self._worker_entries("stats")
+        up = [stats for stats in workers if stats["up"]]
+        totals = {
+            field: sum(int(stats[field]) for stats in up)
+            for field in ("n_rejected", "n_products", "ar_evaluations", "windows_flagged")
+        }
+        self._m_rejected.inc_to(totals["n_rejected"])
+        self._m_flagged.inc_to(totals["windows_flagged"])
+        self._m_refits.inc_to(totals["ar_evaluations"])
         uptime = time.monotonic() - self._started
         accepted = self.n_accepted
         n_raters, trust_updates = self._ledger.counts()
         return {
             "uptime_seconds": uptime,
             "n_accepted": accepted,
-            "n_rejected": totals["rejected"],
-            "n_products": totals["products"],
+            "n_rejected": totals["n_rejected"],
+            "n_products": totals["n_products"],
             "n_raters": n_raters,
             "n_workers": len(self._handles),
-            "ar_evaluations": totals["evaluations"],
-            "windows_flagged": totals["flagged"],
+            "ar_evaluations": totals["ar_evaluations"],
+            "windows_flagged": totals["windows_flagged"],
             "trust_updates": trust_updates,
             "ratings_per_second": accepted / uptime if uptime > 0 else 0.0,
             "workers": workers,
-            "ensemble": self._merge_ensembles(ensembles),
+            "ensemble": self._merge_ensembles([stats["ensemble"] for stats in up]),
             "wal_entries": self.wal.n_entries,
         }
 
     def storage_stats(self) -> dict:
         """Tier occupancy per worker plus the coordinator's ingest WAL."""
-        workers = []
-        cold = pending = 0
-        for handle in self._handles:
-            entry: dict = {"worker": handle.index, "up": handle.up}
-            if handle.up:
-                try:
-                    stats = self._rpc(handle, "storage")["value"]
-                except ReproError:
-                    entry["up"] = False
-                else:
-                    entry.update(stats)
-                    cold += int(stats.get("cold_ratings", 0))
-                    pending += int(stats.get("pending_ratings", 0))
-            workers.append(entry)
+        workers = self._worker_entries("storage")
+        cold = sum(int(stats.get("cold_ratings", 0)) for stats in workers)
+        pending = sum(int(stats.get("pending_ratings", 0)) for stats in workers)
         segments = self.wal.segments()
         self._m_wal_segments.set(len(segments))
         return {

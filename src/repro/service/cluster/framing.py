@@ -10,8 +10,10 @@ strangers before the first frame.
 
 Every message is a dict with a ``"type"`` key.  Coordinator -> worker:
 ``ingest`` (batched ``[coordinator_seq, rating_dict]`` entries),
-``rpc`` (id + op), ``trust`` (reply to a digest), ``welcome`` (reply
-to ``hello``, carrying the current trust table).  Worker ->
+``rpc`` (id + op), ``trust`` (reply to a digest, carrying under
+``changed`` only the trusts changed since the worker's last reply),
+``welcome`` (reply to ``hello``, carrying the full trust table under
+``table``).  Worker ->
 coordinator: ``connect``, ``hello`` (post-recovery watermark),
 ``digest`` (trust flush digest), ``processed`` (cumulative ingest
 credit), ``reply`` (rpc response).

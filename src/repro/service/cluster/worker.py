@@ -5,8 +5,9 @@ plain :class:`~repro.service.engine.RatingEngine` (its own
 WAL subdirectory and tiered store, its own detector ensemble) built in
 **trust-delegate mode**: the engine has no trust ledger of its own;
 every trust flush becomes a digest frame sent to the coordinator's
-:class:`~repro.service.ledger.TrustLedger`, whose reply is the
-authoritative trust table the engine serves its reads from.
+:class:`~repro.service.ledger.TrustLedger`, whose reply (the trusts
+changed since this worker's last one) the engine merges into the
+mirror it serves its reads from.
 
 Startup sequence (identical for a cold start and a post-crash
 restart, which is what makes supervision simple):
@@ -65,14 +66,8 @@ __all__ = ["worker_main"]
 
 
 def _watermark(engine: RatingEngine) -> int:
-    """Highest coordinator seq this worker has processed (-1 = none).
-
-    Snapshots written before the watermark was the merged ``"g"`` meta
-    kept it under ``"coord_seq"``; such a snapshot's value holds until
-    the worker processes its next entry.
-    """
-    meta = engine.client_meta
-    return int(meta.get("g", meta.get("coord_seq", -1)))
+    """Highest coordinator seq this worker has processed (-1 = none)."""
+    return int(engine.client_meta.get("g", -1))
 
 
 class _WorkerRuntime:
@@ -130,12 +125,12 @@ class _WorkerRuntime:
     # -- engine hooks ------------------------------------------------------
 
     def trust_delegate(self, digest: dict) -> Dict[int, float]:
-        """Ship one flush digest; block for the authoritative table."""
+        """Ship one flush digest; block for the trusts that changed."""
         self.send({"type": "digest", "worker": self.index, "digest": digest})
         reply = self._control.get()
         if reply.get("type") != "trust":
             raise EOFError("coordinator connection lost mid-flush")
-        return {int(k): float(v) for k, v in reply["table"].items()}
+        return {int(k): float(v) for k, v in reply["changed"].items()}
 
     # -- frame handlers ----------------------------------------------------
 

@@ -24,8 +24,9 @@ long-running, thread-safe serving component:
   ``batch_max_seconds`` of wall time, amortizing Procedure 2 over many
   ratings.  A flush is packaged as a digest and applied by a
   :class:`~repro.service.ledger.TrustLedger` -- the engine's own, or
-  in a cluster worker the coordinator's -- and every trust read is
-  served from the table the ledger returned.
+  in a cluster worker the coordinator's -- whose reply, the trusts
+  that changed, is merged into the read mirror every trust read is
+  served from.
 * **Durability** -- accepted ratings are appended to a segmented
   write-ahead log *before* touching in-memory state; :meth:`snapshot`
   persists the bounded engine state (ensemble state included) and
@@ -82,7 +83,8 @@ __all__ = ["RatingEngine", "SubmitResult"]
 
 #: Ratings per WAL group commit: one :meth:`RatingEngine.submit_many`
 #: chunk, and the most entries the cluster coordinator packs into one
-#: ingest frame (a worker commits each frame as one group).
+#: ingest frame (a worker commits each frame as one group) or hands to
+#: the OS in one write before acking.
 GROUP_COMMIT_MAX = 64
 
 # Durability contracts (checked by lint rule DP02): an accepted rating
@@ -165,16 +167,17 @@ class RatingEngine:
         trust_delegate: when set, the engine runs in **cluster-worker
             mode**: it has no ledger of its own, and each flush digest
             (see :mod:`repro.service.ledger`) is handed to this
-            callable, which must return the authoritative rater->trust
-            table.  Digest ``seq`` equals the engine's trust-update
-            counter, which is deterministic under WAL replay, so the
-            receiving ledger can deduplicate redelivered digests after
-            a crash.  Without a delegate the engine applies its digests
-            to its own :class:`~repro.service.ledger.TrustLedger`.
+            callable, which must return the ledger's reply (the
+            rater->trust values the engine's mirror lacks).  Digest
+            ``seq`` equals the engine's trust-update counter, which is
+            deterministic under WAL replay, so the receiving ledger can
+            deduplicate redelivered digests after a crash.  Without a
+            delegate the engine applies its digests to its own
+            :class:`~repro.service.ledger.TrustLedger`.
 
-    Either way the returned table is installed as the read mirror
-    serving :meth:`trust`, :meth:`trust_table`, :meth:`score`
-    weighting, and :meth:`detected_malicious`.
+    Either way the reply is merged into the read mirror serving
+    :meth:`trust`, :meth:`trust_table`, :meth:`score` weighting, and
+    :meth:`detected_malicious`.
 
     Concurrency: ingest, flush, score reads, and the state capture of
     :meth:`snapshot` serialize on one engine lock (``_lock``), taken
@@ -217,7 +220,7 @@ class RatingEngine:
         # the coordinator's.
         self._ledger = TrustLedger(self.config) if trust_delegate is None else None
         self._trust_delegate = trust_delegate or self._apply_to_own_ledger
-        # The last trust table the ledger returned; serves every read.
+        # The ledger's table as its replies built it; serves every read.
         self._trust_mirror: Dict[int, float] = {}
         # Opaque client bookkeeping persisted with every snapshot: each
         # submit's ``wal_meta`` is merged in, rejected submits included,
@@ -551,8 +554,7 @@ class RatingEngine:
                     )
         # The digest seq is this engine's deterministic trust-update
         # counter, so a ledger that already saw it (a replayed flush
-        # after recovery) can discard it while still replying with the
-        # current table.
+        # after recovery) can discard it while still replying.
         self._n_trust_updates += 1
         digest = {
             "seq": self._n_trust_updates,
@@ -577,7 +579,10 @@ class RatingEngine:
                 self.wal.sync()
         # The delegate call (an RPC in the cluster) runs outside
         # _trust_lock so trust reads stay available meanwhile.
-        self.install_trust_mirror(self._trust_delegate(digest))
+        changed = self._trust_delegate(digest)
+        with self._trust_lock:
+            self._trust_mirror.update(changed)
+            self._trust_epoch += 1
         self._pending_provided = {}
         self._since_flush = 0
         self._last_flush = time.monotonic()
@@ -609,16 +614,15 @@ class RatingEngine:
         return self._own_ledger().apply(digest, 0)[1]
 
     def install_trust_mirror(self, table: Dict[int, float]) -> None:
-        """Install an authoritative trust table.
+        """Install a full trust table.
 
         Replaces the read mirror that serves :meth:`trust`,
         :meth:`score` weighting, and :meth:`detected_malicious`, and
         bumps the trust epoch so stale score-cache entries are dropped.
-        Called with each ledger reply, after a snapshot load, and by
-        the cluster worker when the coordinator pushes the current
-        table after (re)connect.  The caller passes a fresh
-        ``{int: float}`` table (the worker decodes each JSON reply
-        once) and the engine keeps it as is.
+        Called after a snapshot load, and by the cluster worker with
+        the coordinator's ``welcome`` table after (re)connect; each
+        flush merges its reply instead.  The caller passes a fresh
+        ``{int: float}`` table and the engine keeps it as is.
         """
         with self._trust_lock:
             self._trust_mirror = table

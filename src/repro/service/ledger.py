@@ -9,12 +9,16 @@ own ledger (origin 0); a cluster worker ships them to the
 coordinator's (origin = worker index).  One code path for both tiers
 is what makes a 1-worker cluster bit-for-bit equal to the in-process
 engine.  Rater keys may be ints or, after the JSON framing, strings.
+
+A reply carries only the trusts the origin's read mirror lacks (the
+raters its digest changed, plus those other origins' digests changed
+since its last reply), so the merged mirror equals the full table.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.service.config import ServiceConfig
 from repro.trust.manager import TrustManager, TrustManagerConfig
@@ -24,7 +28,7 @@ __all__ = ["TrustLedger"]
 
 class TrustLedger:
     """The trust manager, per-rater suspicion totals and per-origin
-    digest dedup seqs of one serving tier, behind one lock."""
+    digest seqs and pending raters of one serving tier, behind one lock."""
 
     # Lint contract (CC03): the ledger's state and its owning lock.
     _GUARDED_BY = {
@@ -32,6 +36,7 @@ class TrustLedger:
         "_suspicion_totals": "_lock",
         "_n_updates": "_lock",
         "_seqs": "_lock",
+        "_pending": "_lock",
     }
 
     def __init__(self, config: ServiceConfig) -> None:
@@ -46,20 +51,24 @@ class TrustLedger:
         self._suspicion_totals: Dict[int, float] = {}
         self._n_updates = 0
         self._seqs: Dict[int, int] = {}  # origin -> last applied seq
+        # origin -> raters others changed since its last reply; an
+        # origin without an entry is owed the full table.
+        self._pending: Dict[int, Set[int]] = {}
 
     def apply(self, digest: dict, origin: int) -> Tuple[bool, Dict[int, float]]:
-        """Apply one digest; returns ``(new, trust table)``.
+        """Apply one digest; returns ``(new, changed trusts)``.
 
         Records provided counts, then suspicion masses, then flagged
-        counts, then runs ``update()``.  A seq at or below the origin's
-        last one is a redelivery (a flush replayed after a crash): it
-        changes nothing, but the current table is still returned so
-        the sender's read mirror refreshes.
+        counts, then runs ``update()``.  The reply maps each rater the
+        digest changed, and each rater pending for ``origin``, to its
+        current trust.  A seq at or below the origin's last one is a
+        redelivery (a flush replayed after a crash): it changes
+        nothing and is answered with the pending raters alone.
         """
         seq = int(digest["seq"])
         with self._lock:
             if seq <= self._seqs.get(origin, 0):
-                return False, self.trust_manager.trust_table()
+                return False, self._reply_locked(origin, {})
             observations = self.trust_manager.observations
             for rid, count in digest["provided"].items():
                 observations.record_provided(int(rid), int(count))
@@ -72,7 +81,28 @@ class TrustLedger:
                 observations.record_suspicious(int(rid), int(count))
             self._seqs[origin] = seq
             self._n_updates += 1
-            return True, self.trust_manager.update()
+            changed = self.trust_manager.update()
+            for other, pending in self._pending.items():
+                if other != origin:
+                    pending.update(changed)
+            return True, self._reply_locked(origin, changed)
+
+    def _reply_locked(self, origin: int, changed: Dict[int, float]) -> Dict[int, float]:
+        """``changed`` plus, emptying it, ``origin``'s pending set."""
+        pending = self._pending.get(origin)
+        self._pending[origin] = set()
+        if pending is None:
+            return self.trust_manager.trust_table()
+        reply = {rid: self.trust_manager.trust(rid) for rid in pending}
+        reply.update(changed)
+        return reply
+
+    def welcome(self, origin: int) -> Dict[int, float]:
+        """The full trust table for a (re)connecting origin, whose
+        mirror it replaces; nothing is pending for the origin after."""
+        with self._lock:
+            self._pending[origin] = set()
+            return self.trust_manager.trust_table()
 
     def trust(self, rater_id: int) -> float:
         with self._lock:

@@ -496,6 +496,13 @@ class WriteAheadLog:
         if self._on_fsync is not None:
             self._on_fsync(time.perf_counter() - start)
 
+    def flush(self) -> None:
+        """Hand buffered appends to the OS, without an fsync: a process
+        kill keeps them, a power loss can still take them."""
+        with self._lock:
+            if not self._handle.closed:
+                self._handle.flush()
+
     def sync(self) -> None:
         """Flush and fsync any appends not yet fsynced (no-op if none).
 

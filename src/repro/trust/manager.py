@@ -122,7 +122,10 @@ class TrustManager:
         the forgetting factor, if any).
 
         Returns:
-            rater_id -> post-update trust for all known raters.
+            rater_id -> post-update trust for the raters this update
+            changed: the drained raters, or every known rater when the
+            forgetting factor (< 1) discounted every record.
+            :meth:`trust_table` has the rest.
         """
         self.maintenance.apply_forgetting(self._records)
         drained = self.observations.drain()
@@ -132,7 +135,9 @@ class TrustManager:
             success_increment = obs.n_provided - obs.n_filtered - obs.n_suspicious
             record.add_evidence(successes=success_increment, failures=failure_increment)
         self._n_updates += 1
-        return self.trust_table()
+        if self.config.forgetting_factor < 1.0:
+            return self.trust_table()
+        return {rid: self._records[rid].trust for rid in drained}
 
     # -- indirect trust ------------------------------------------------------
 

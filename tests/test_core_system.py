@@ -154,6 +154,19 @@ class TestIntervalReport:
         assert isinstance(report.detected_malicious, list)
         assert isinstance(report.flagged_rating_ids, set)
 
+    def test_trust_after_is_the_full_table(self, rng):
+        """Procedure 2 returns only the raters it changed; the report
+        still carries every rater's trust, not just this interval's."""
+        system = build_system()
+        early = honest_ratings(rng, n=10, start=0.0, span=5.0)
+        late = honest_ratings(rng, n=10, start=10.0, span=5.0, rid_start=50)
+        system.ingest(early + late)
+        system.process_interval(0.0, 10.0)
+        report = system.process_interval(10.0, 20.0)
+        assert report.trust_after == system.trust_manager.trust_table()
+        assert {r.rater_id for r in early} <= set(report.trust_after)
+        assert report.trust_after[early[0].rater_id] > 0.5
+
     def test_reports_accumulate(self, rng):
         system = build_system()
         system.ingest(honest_ratings(rng, n=20, span=20.0))

@@ -16,10 +16,13 @@ import random
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import urllib.request
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.ratings.models import Rating
@@ -28,7 +31,9 @@ from repro.service.cluster.framing import recv_msg, send_msg
 from repro.service.config import ServiceConfig
 from repro.service.engine import RatingEngine
 from repro.service.http import start_background
+from repro.service.ledger import TrustLedger
 from repro.service.metrics import SHARED_FAMILIES, MetricsRegistry
+from repro.service.wal import WriteAheadLog, replay_wal
 
 
 def make_stream(n=300, n_products=6, n_raters=10, seed=11):
@@ -321,6 +326,167 @@ class TestWorkerCrashRecovery:
             reopened.close()
 
 
+# Put first on the spawned workers' PYTHONPATH: each worker engine logs
+# its whole read mirror after every flush that sent a digest, and after
+# each full-table install (the coordinator's ``welcome``), to a file of
+# its own.
+_MIRROR_HOOK = """
+import os
+
+_log = os.environ.get("REPRO_TEST_MIRROR_LOG")
+if _log:
+    import json
+    from repro.service.engine import RatingEngine
+
+    _path = f"{_log}.{os.getpid()}"
+    _flush = RatingEngine._flush_locked
+    _install = RatingEngine.install_trust_mirror
+
+    def _record(engine, kind):
+        origin = int(os.path.basename(engine.config.wal_dir).split("-")[1])
+        row = [origin, kind, engine._n_trust_updates, engine.trust_table()]
+        with open(_path, "a") as handle:
+            handle.write(json.dumps(row) + "\\n")
+
+    def _flush_locked(self):
+        before = self._n_trust_updates
+        _flush(self)
+        if self._n_trust_updates != before:
+            _record(self, "reply")
+
+    def install_trust_mirror(self, table):
+        _install(self, table)
+        _record(self, "welcome")
+
+    RatingEngine._flush_locked = _flush_locked
+    RatingEngine.install_trust_mirror = install_trust_mirror
+"""
+
+
+def _logged_rows(path):
+    """The rows one worker process logged (none if it never flushed)."""
+    if not os.path.exists(path):
+        return []
+    with open(path) as handle:
+        return [json.loads(line) for line in handle]
+
+
+@pytest.mark.slow
+class TestTrustMirror:
+    @settings(
+        max_examples=4,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @example(workers=1, seed=5, n=120, kill_at=40, flush_at={70})
+    @example(workers=2, seed=7, n=140, kill_at=30, flush_at={10, 90})
+    @given(
+        workers=st.sampled_from([1, 2]),
+        seed=st.integers(min_value=0, max_value=10_000),
+        n=st.integers(min_value=60, max_value=160),
+        kill_at=st.one_of(st.none(), st.integers(min_value=20, max_value=55)),
+        flush_at=st.sets(st.integers(min_value=0, max_value=159), max_size=3),
+    )
+    def test_worker_mirror_equals_the_ledger_after_every_reply(
+        self, workers, seed, n, kill_at, flush_at
+    ):
+        """Every worker merges the ledger's delta replies into its read
+        mirror.  Right after each reply that mirror must equal the
+        coordinator's whole table as it stood when the reply left, on
+        1 and 2 workers, with a SIGKILLed worker restarted, welcomed
+        and redelivered to.  Replies to the digests a restarted worker
+        replays *before* its welcome only refresh a mirror the welcome
+        then replaces, so they are checked on the coordinator side
+        alone: merged in order with the welcomes, every origin's
+        replies rebuild the table."""
+        # Per origin, in order: ("welcome" | "reply", seq, sent, table);
+        # a worker waits for each reply, so one origin's events never
+        # interleave.
+        events = {index: [] for index in range(workers)}
+        seqs = {}
+        apply, reply_locked, welcome = (
+            TrustLedger.apply,
+            TrustLedger._reply_locked,
+            TrustLedger.welcome,
+        )
+
+        def recording_apply(self, digest, origin):
+            seqs[origin] = int(digest["seq"])
+            return apply(self, digest, origin)
+
+        def recording_reply(self, origin, changed):
+            sent = reply_locked(self, origin, changed)
+            table = self.trust_manager.trust_table()  # lock held
+            events[origin].append(("reply", seqs[origin], dict(sent), table))
+            return sent
+
+        def recording_welcome(self, origin):
+            table = welcome(self, origin)
+            events[origin].append(("welcome", None, table, table))
+            return table
+
+        stream = make_stream(n=n, seed=seed)
+        repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with tempfile.TemporaryDirectory() as scratch, pytest.MonkeyPatch.context() as mp:
+            hook_dir = os.path.join(scratch, "hook")
+            os.mkdir(hook_dir)
+            with open(os.path.join(hook_dir, "sitecustomize.py"), "w") as handle:
+                handle.write(_MIRROR_HOOK)
+            log = os.path.join(scratch, "mirror")
+            mp.setenv(
+                "PYTHONPATH",
+                os.pathsep.join([hook_dir, os.path.join(repo_root, "src"), repo_root]),
+            )
+            mp.setenv("REPRO_TEST_MIRROR_LOG", log)
+            mp.setattr(TrustLedger, "apply", recording_apply)
+            mp.setattr(TrustLedger, "_reply_locked", recording_reply)
+            mp.setattr(TrustLedger, "welcome", recording_welcome)
+
+            cluster = ClusterCoordinator(
+                cluster_config(os.path.join(scratch, "wal"), workers=workers)
+            )
+            pids = [[handle.process.pid] for handle in cluster._handles]
+            try:
+                for position, rating in enumerate(stream):
+                    cluster.submit(rating)
+                    if position == kill_at:
+                        os.kill(cluster._handles[0].process.pid, signal.SIGKILL)
+                    if position in flush_at:
+                        cluster.flush()
+                cluster.flush()
+                for index, handle in enumerate(cluster._handles):
+                    if handle.process.pid != pids[index][0]:
+                        pids[index].append(handle.process.pid)
+            finally:
+                cluster.close()
+
+            for origin, trail in events.items():
+                mirror = None  # a new origin is owed the full table
+                for kind, _, sent, table in trail:
+                    if kind == "welcome" or mirror is None:
+                        mirror = dict(sent)
+                    else:
+                        mirror.update(sent)
+                    assert mirror == table
+
+                cursor = 0
+                for pid in pids[origin]:
+                    welcomed = False
+                    for index, kind, seq, logged in _logged_rows(f"{log}.{pid}"):
+                        assert index == origin
+                        welcomed = welcomed or kind == "welcome"
+                        if not welcomed:
+                            continue  # a replayed flush before the welcome
+                        while trail[cursor][0] != kind or (
+                            kind == "reply" and trail[cursor][1] != seq
+                        ):
+                            cursor += 1
+                        mirror = {int(k): v for k, v in logged.items()}
+                        assert mirror == trail[cursor][3], (origin, kind, seq)
+                        cursor += 1
+                assert cursor > 0
+
+
 # Put first on the crashed cluster's PYTHONPATH: every process of it
 # (coordinator and spawned worker) logs each fsync (inode, size) and
 # each ``processed`` report, in order, to a file of its own.
@@ -480,6 +646,70 @@ class TestPowerLoss:
             assert finish(reopened, stream[crash_at:]) == reference
         finally:
             reopened.close()
+
+
+# The killed coordinator: acks a stream prefix at the default ack fsync
+# cadence, through one call per rating or one ``submit_many``, then
+# idles until the test kills it.
+_ACKED_CLUSTER = """
+import sys, time
+from repro.service.cluster import ClusterCoordinator
+from tests.test_service_cluster import cluster_config, make_stream
+
+wal_dir, n, path = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+cluster = ClusterCoordinator(cluster_config(wal_dir, workers=1, wal_gc=False))
+ratings = make_stream()[:n]
+if path == "submit_many":
+    results = cluster.submit_many(ratings)
+else:
+    results = [cluster.submit(rating) for rating in ratings]
+assert len(results) == n and all(result.accepted for result in results)
+print(cluster._sockdir, flush=True)
+time.sleep(600)
+"""
+
+
+@pytest.mark.slow
+class TestCoordinatorProcessKill:
+    @pytest.mark.parametrize("path", ["submit", "submit_many"])
+    def test_sigkill_keeps_every_acked_row(self, tmp_path, path):
+        """An ack hands its ingest-WAL row to the OS, so a coordinator
+        SIGKILL keeps every acked rating, also the ones past the last
+        ``cluster_ack_fsync_every`` (64) fsync.  Only a power loss can
+        take those."""
+        acked = 290  # 256 rows covered by an fsync, 34 past the last one
+        repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        wal_dir = tmp_path / "killed"
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join([os.path.join(repo_root, "src"), repo_root]),
+        }
+        process = subprocess.Popen(
+            [sys.executable, "-c", _ACKED_CLUSTER, str(wal_dir), str(acked), path],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+            cwd=repo_root,
+            start_new_session=True,
+        )
+        try:
+            sockdir = process.stdout.readline().strip()
+            assert sockdir, "killed cluster never acked its ratings"
+        finally:
+            os.killpg(process.pid, signal.SIGKILL)  # coordinator and worker
+            process.wait()
+            process.stdout.close()
+        for leftover in os.listdir(sockdir):
+            os.unlink(os.path.join(sockdir, leftover))
+        os.rmdir(sockdir)
+
+        wal = WriteAheadLog(wal_dir / "coordinator")
+        try:
+            assert wal.n_entries == acked
+        finally:
+            wal.close()
+        logged = [rating for _, rating in replay_wal(wal_dir / "coordinator")]
+        assert logged == make_stream()[:acked]
 
 
 @pytest.mark.slow

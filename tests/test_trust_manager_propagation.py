@@ -77,6 +77,27 @@ class TestProcedure2:
         manager.update()  # no new evidence; S halves
         assert manager.trust(1) < trust_before
 
+    def test_update_returns_only_the_raters_it_changed(self):
+        manager = TrustManager()
+        manager.observations.record_provided(1, count=2)
+        manager.observations.record_provided(2, count=1)
+        assert manager.update() == {1: 0.75, 2: 2.0 / 3.0}
+        manager.observations.record_provided(3, count=1)
+        manager.observations.record_suspicious(2, count=0)
+        assert manager.update() == {2: 2.0 / 3.0, 3: 2.0 / 3.0}
+        assert manager.update() == {}
+        assert manager.trust_table() == {1: 0.75, 2: 2.0 / 3.0, 3: 2.0 / 3.0}
+
+    def test_update_under_forgetting_returns_every_rater(self):
+        manager = TrustManager(TrustManagerConfig(forgetting_factor=0.5))
+        manager.observations.record_provided(1, count=8)
+        manager.observations.record_provided(2, count=2)
+        manager.update()
+        manager.observations.record_provided(2, count=1)
+        changed = manager.update()  # rater 1 has no news but decays
+        assert set(changed) == {1, 2}
+        assert changed == manager.trust_table()
+
     def test_record_unknown_rater_raises(self):
         with pytest.raises(UnknownRaterError):
             TrustManager().record(7)
