@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test durability lint lint-json lint-strict lint-update-baseline bench bench-lint import-profile
+.PHONY: test durability lint lint-json lint-strict lint-update-baseline bench bench-ensemble bench-lint import-profile
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -41,6 +41,10 @@ lint-update-baseline:
 
 bench:
 	PYTHONPATH=src:. $(PYTHON) -m benchmarks.e2e
+
+# Rebuild the committed ensemble ingest-throughput artifact.
+bench-ensemble:
+	$(PYTHON) benchmarks/bench_ensemble.py --json BENCH_ensemble.json
 
 bench-lint:
 	$(PYTHON) benchmarks/bench_lint.py --json lint-bench.json

@@ -8,10 +8,15 @@ AR-only.  The ISSUE budget is a soft 2x floor: every source is bounded
 (LRU rater sets, capped fanout and edge sets, windowed sweeps), so the
 whole ensemble must stay within 2x of the single-detector engine.
 
-Also runs standalone without pytest::
+Also runs standalone without pytest (``make bench-ensemble`` rebuilds
+the committed ``BENCH_ensemble.json``, stamped with where it ran)::
 
     PYTHONPATH=src python benchmarks/bench_ensemble.py \
         --json BENCH_ensemble.json --max-slowdown 2.0
+
+The stream has only 200 raters, so the co-rating graph stays far below
+its 50,000-edge cap and never trims: this prices the per-rating and
+scoring work of each source, not the eviction path.
 """
 
 from __future__ import annotations
@@ -25,19 +30,19 @@ from typing import List, Tuple
 
 import numpy as np
 
-try:
-    from benchmarks.conftest import emit
-except ModuleNotFoundError:  # standalone `python benchmarks/bench_ensemble.py`
-    def emit(title: str, body: str) -> None:
-        bar = "=" * 72
-        print(f"\n{bar}\n{title}\n{bar}\n{body}")
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:  # standalone `python benchmarks/bench_ensemble.py`
+    sys.path.insert(0, str(ROOT))
 
+from benchmarks.conftest import emit
+from benchmarks.e2e._provenance import provenance
 from repro.ratings.models import Rating
 from repro.service import RatingEngine, ServiceConfig
 
 N_RATINGS = 20_000
 N_PRODUCTS = 40
 N_RATERS = 200
+STREAM_SEED = 13
 
 CONFIGS: Tuple[Tuple[str, ...], ...] = (
     ("ar",),
@@ -47,7 +52,7 @@ CONFIGS: Tuple[Tuple[str, ...], ...] = (
 
 
 def _stream(n: int = N_RATINGS) -> List[Rating]:
-    rng = np.random.default_rng(13)
+    rng = np.random.default_rng(STREAM_SEED)
     quality = rng.uniform(0.3, 0.8, size=N_PRODUCTS)
     ratings = []
     for i in range(n):
@@ -92,7 +97,11 @@ def _ingest_seconds(sources: Tuple[str, ...], stream: List[Rating], repeats: int
 
 def run_bench(n_ratings: int = N_RATINGS) -> dict:
     stream = _stream(n_ratings)
-    stats: dict = {"n_ratings": n_ratings, "sources": {}}
+    stats: dict = {
+        "n_ratings": n_ratings,
+        "provenance": provenance(ROOT, STREAM_SEED),
+        "sources": {},
+    }
     baseline = None
     for sources in CONFIGS:
         seconds = _ingest_seconds(sources, stream)

@@ -50,6 +50,7 @@ double-applying a digest.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import logging
 import os
@@ -864,10 +865,11 @@ class ClusterCoordinator:
 
     def _merge_ensembles(self, per_worker: List[dict]) -> dict:
         """One ensemble view from per-worker ones: config from the
-        first, ``n_evictions`` summed per source."""
+        first, ``n_evictions`` summed per source.  The inputs stay each
+        worker's own view."""
         if not per_worker:
             return {"combiner": self.config.ensemble_combiner, "sources": {}}
-        merged = per_worker[0]
+        merged = copy.deepcopy(per_worker[0])
         for stats in per_worker[1:]:
             for name, source in stats["sources"].items():
                 merged["sources"][name]["n_evictions"] += source["n_evictions"]

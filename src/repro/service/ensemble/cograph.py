@@ -17,9 +17,28 @@ Everything is bounded so the hot path stays O(1)-ish:
   metric);
 * each arrival co-rates against at most ``co_fanout`` of the product's
   most recent raters;
-* the edge set is capped at ``max_edges`` (weakest edges dropped at
-  scoring time, in one bucketed pass rather than a full sort);
+* the edge set is capped at ``max_edges``; the weakest edges are
+  dropped at scoring time;
 * component scoring runs only every ``score_every`` flushes.
+
+Neither scoring nor trimming scans the edge set; ``observe`` keeps two
+indexes up to date instead:
+
+* the *qualifying index* holds exactly the edges scoring reads (enough
+  co-ratings, agreeing enough).  Only an edge's own update can change
+  its membership, so ``observe`` re-checks the one edge it touches and
+  eviction removes it.  Scoring reads the index in edge birth order,
+  which is the order of the edge dict itself, so it sees the edges in
+  the same order a filtered scan would;
+* the *bucket queue* maps a co-count to a heap of edges.  A new edge
+  goes into bucket 1; an increment moves nothing, so an entry sits in
+  a bucket at or below its edge's live co-count.  Trimming pops the
+  lowest non-empty bucket: an edge whose live count equals the bucket
+  is the weakest live edge (lower buckets are empty, and every edge of
+  that count is in this bucket or a lower one) and is evicted; any
+  other is re-pushed into its live bucket.  That evicts exactly the
+  first ``overflow`` edges in ``(co_count, edge)`` order, and each
+  re-push is paid for by an earlier increment.
 
 Plain dicts and union-find only -- the serving tier takes no graph
 library dependency.
@@ -28,6 +47,7 @@ library dependency.
 from __future__ import annotations
 
 from collections import OrderedDict
+from heapq import heapify, heappop, heappush
 from typing import Dict, List, Tuple
 
 from repro.errors import ConfigurationError
@@ -112,8 +132,15 @@ class CoRatingGraphSource(OnlineSuspicionSource):
         self.max_edges = int(max_edges)
         # product -> LRU of rater -> last rating value (most recent last).
         self._products: Dict[int, "OrderedDict[int, float]"] = {}
-        # (low_rater, high_rater) -> [co_count, agree_count].
+        # (low_rater, high_rater) -> [co_count, agree_count, birth];
+        # birth numbers edges in creation order, which is dict order.
         self._edges: Dict[Edge, List[int]] = {}
+        self._births = 0
+        # The edges scoring reads, sharing the weights lists of _edges.
+        self._qualifying: Dict[Edge, List[int]] = {}
+        # co_count -> heap of edge keys, one entry per live edge, each in
+        # a bucket at or below the edge's live co-count.
+        self._by_count: Dict[int, List[Edge]] = {}
         # rater -> ratings seen since the last scoring pass.
         self._counts: Dict[int, int] = {}
         self._since_score = 0
@@ -131,16 +158,25 @@ class CoRatingGraphSource(OnlineSuspicionSource):
         else:
             # Link against the product's most recent raters (bounded
             # fanout keeps the hot path constant-time).
+            edges, qualifying = self._edges, self._qualifying
+            min_weight, min_agreement = self.min_edge_weight, self.min_agreement
             linked = 0
             for other, other_value in reversed(raters.items()):
                 edge = (rid, other) if rid < other else (other, rid)
-                weights = self._edges.get(edge)
+                weights = edges.get(edge)
                 if weights is None:
-                    weights = [0, 0]
-                    self._edges[edge] = weights
+                    weights = [0, 0, self._births]
+                    self._births += 1
+                    edges[edge] = weights
+                    heappush(self._by_count.setdefault(1, []), edge)
                 weights[0] += 1
                 if abs(value - other_value) <= self.agreement_eps:
                     weights[1] += 1
+                if weights[0] >= min_weight:
+                    if weights[1] / weights[0] >= min_agreement:
+                        qualifying[edge] = weights
+                    else:
+                        qualifying.pop(edge, None)
                 linked += 1
                 if linked >= self.co_fanout:
                     break
@@ -162,14 +198,6 @@ class CoRatingGraphSource(OnlineSuspicionSource):
 
     # -- scoring -----------------------------------------------------------
 
-    def _qualifying_edges(self) -> List[Tuple[Edge, List[int]]]:
-        return [
-            (edge, weights)
-            for edge, weights in self._edges.items()
-            if weights[0] >= self.min_edge_weight
-            and weights[1] / weights[0] >= self.min_agreement
-        ]
-
     def _score_components(self) -> Dict[int, float]:
         """Charge members of dense, agreeing components.
 
@@ -180,9 +208,9 @@ class CoRatingGraphSource(OnlineSuspicionSource):
         last scoring pass, mirroring the AR source's
         level-per-charged-rating accounting.
         """
-        qualifying = self._qualifying_edges()
-        if not qualifying:
+        if not self._qualifying:
             return {}
+        qualifying = sorted(self._qualifying.items(), key=lambda item: item[1][2])
         parent: Dict[int, int] = {}
 
         def find(node: int) -> int:
@@ -231,26 +259,28 @@ class CoRatingGraphSource(OnlineSuspicionSource):
         """Evict the weakest edges once over the cap (deterministic).
 
         Evicts exactly the first ``overflow`` edges in ``(co_count,
-        edge)`` order, in one pass: edges are bucketed by co-count,
-        whole buckets go from the weakest up, and only the bucket the
-        cut falls in is sorted.
+        edge)`` order, popping the bucket queue from its lowest bucket
+        (see the module docstring).
         """
         overflow = len(self._edges) - self.max_edges
         if overflow <= 0:
             return
-        buckets: Dict[int, List[Edge]] = {}
-        for edge, weights in self._edges.items():
-            buckets.setdefault(weights[0], []).append(edge)
+        edges, buckets = self._edges, self._by_count
         remaining = overflow
-        for co_count in sorted(buckets):
+        while remaining:
+            co_count = min(buckets)
             bucket = buckets[co_count]
-            if len(bucket) > remaining:
-                bucket = sorted(bucket)[:remaining]
-            for edge in bucket:
-                del self._edges[edge]
-            remaining -= len(bucket)
-            if remaining == 0:
-                break
+            while bucket and remaining:
+                edge = heappop(bucket)
+                weights = edges[edge]
+                if weights[0] == co_count:
+                    del edges[edge]
+                    self._qualifying.pop(edge, None)
+                    remaining -= 1
+                else:
+                    heappush(buckets.setdefault(weights[0], []), edge)
+            if not bucket:
+                del buckets[co_count]
         self._record_evictions(overflow)
 
     # -- persistence -------------------------------------------------------
@@ -276,10 +306,22 @@ class CoRatingGraphSource(OnlineSuspicionSource):
             for rid, value in rows:
                 raters[int(rid)] = float(value)
             self._products[int(pid_str)] = raters
-        self._edges = {
-            (int(a), int(b)): [int(co), int(agree)]
-            for a, b, co, agree in state["edges"]
-        }
+        self._edges = {}
+        self._qualifying = {}
+        self._by_count = {}
+        for birth, (a, b, co, agree) in enumerate(state["edges"]):
+            edge = (int(a), int(b))
+            weights = [int(co), int(agree), birth]
+            self._edges[edge] = weights
+            self._by_count.setdefault(weights[0], []).append(edge)
+            if (
+                weights[0] >= self.min_edge_weight
+                and weights[1] / weights[0] >= self.min_agreement
+            ):
+                self._qualifying[edge] = weights
+        for bucket in self._by_count.values():
+            heapify(bucket)
+        self._births = len(self._edges)
         self._counts = {int(k): int(v) for k, v in state["counts"].items()}
         self._since_score = int(state["since_score"])
         self.n_evictions = int(state.get("n_evictions", 0))

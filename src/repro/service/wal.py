@@ -59,7 +59,6 @@ import re
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Iterator, List, Optional, Tuple, Union
 
@@ -110,8 +109,20 @@ _SNAPSHOT_RE = re.compile(r"^snapshot-(\d{12})\.json$")
 
 
 def rating_to_dict(rating: Rating) -> dict:
-    """JSON-ready dict for one rating (inverse of :func:`rating_from_dict`)."""
-    return asdict(rating)
+    """JSON-ready dict for one rating (inverse of :func:`rating_from_dict`).
+
+    Built literally, with the keys in field order as
+    ``dataclasses.asdict`` would give them, without its per-field deep
+    copy (this runs once per rating on every WAL and queue hop).
+    """
+    return {
+        "rating_id": rating.rating_id,
+        "rater_id": rating.rater_id,
+        "product_id": rating.product_id,
+        "value": rating.value,
+        "time": rating.time,
+        "unfair": rating.unfair,
+    }
 
 
 def rating_from_dict(row: dict) -> Rating:

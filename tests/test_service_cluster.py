@@ -19,6 +19,7 @@ import sys
 import tempfile
 import time
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -135,6 +136,24 @@ class TestClusterConfig:
         config = cluster_config(tmp_path, workers=2)
         with pytest.raises(ConfigurationError):
             config.worker_config(2)
+
+
+def _ensemble_view(evictions):
+    return {
+        "combiner": "weighted_mean",
+        "sources": {
+            "ar": {"weight": 1.0, "threshold": 0.22, "period": 1, "n_evictions": evictions}
+        },
+    }
+
+
+def test_merge_ensembles_leaves_each_worker_view_alone():
+    coordinator = SimpleNamespace(config=ServiceConfig())
+    first, second = _ensemble_view(2), _ensemble_view(3)
+    merged = ClusterCoordinator._merge_ensembles(coordinator, [first, second])
+    assert merged == _ensemble_view(5)
+    assert first == _ensemble_view(2)
+    assert second == _ensemble_view(3)
 
 
 # -- metrics helpers --------------------------------------------------------

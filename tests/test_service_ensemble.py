@@ -9,12 +9,14 @@ under the 8-thread race pattern.
 
 from __future__ import annotations
 
+import json
 import math
 import threading
+from collections import OrderedDict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.detectors.online import OnlineARDetector
@@ -27,6 +29,7 @@ from repro.service.ensemble import (
     ARSuspicionSource,
     CoRatingGraphSource,
     IterativeFilterSource,
+    OnlineSuspicionSource,
     build_sources,
     combine_max,
     combine_weighted_mean,
@@ -225,7 +228,14 @@ def _reference_trim(co_counts, max_edges):
 def _trimmed(co_counts, max_edges):
     """Edges ``_trim_edges`` evicts from a graph with these co-counts."""
     source = CoRatingGraphSource(max_edges=max_edges)
-    source._edges = {edge: [count, 0] for edge, count in co_counts.items()}
+    source.load_state(
+        {
+            "products": {},
+            "edges": [[a, b, count, 0] for (a, b), count in co_counts.items()],
+            "counts": {},
+            "since_score": 0,
+        }
+    )
     source._trim_edges()
     evicted = set(co_counts) - set(source._edges)
     assert source.n_evictions == len(evicted)
@@ -316,6 +326,269 @@ class TestCoRatingGraphSource:
             restored.observe(rating)
         assert restored.flush() == source.flush()
         assert restored.state_dict() == source.state_dict()
+
+
+class _ReferenceCoRatingGraph(OnlineSuspicionSource):
+    """A frozen copy of the co-rating graph source from before its
+    scoring and trimming read maintained indexes: every scoring pass
+    filters the whole edge set, and every trim re-buckets it."""
+
+    name = "cograph"
+
+    def __init__(
+        self,
+        threshold,
+        score_every,
+        agreement_eps,
+        min_edge_weight,
+        min_agreement,
+        min_component_size,
+        max_raters_per_product,
+        co_fanout,
+        max_edges,
+    ):
+        super().__init__(threshold=threshold, score_every=score_every)
+        self.agreement_eps = agreement_eps
+        self.min_edge_weight = min_edge_weight
+        self.min_agreement = min_agreement
+        self.min_component_size = min_component_size
+        self.max_raters_per_product = max_raters_per_product
+        self.co_fanout = co_fanout
+        self.max_edges = max_edges
+        self._products = {}
+        self._edges = {}
+        self._counts = {}
+        self._since_score = 0
+
+    def observe(self, rating):
+        rid, value = rating.rater_id, rating.value
+        raters = self._products.get(rating.product_id)
+        if raters is None:
+            raters = OrderedDict()
+            self._products[rating.product_id] = raters
+        if rid in raters:
+            del raters[rid]
+        else:
+            linked = 0
+            for other, other_value in reversed(raters.items()):
+                edge = (rid, other) if rid < other else (other, rid)
+                weights = self._edges.get(edge)
+                if weights is None:
+                    weights = [0, 0]
+                    self._edges[edge] = weights
+                weights[0] += 1
+                if abs(value - other_value) <= self.agreement_eps:
+                    weights[1] += 1
+                linked += 1
+                if linked >= self.co_fanout:
+                    break
+        raters[rid] = value
+        if len(raters) > self.max_raters_per_product:
+            raters.popitem(last=False)
+            self._record_evictions(1)
+        self._counts[rid] = self._counts.get(rid, 0) + 1
+
+    def flush(self):
+        self._since_score += 1
+        if self._since_score < self.score_every:
+            return {}
+        self._since_score = 0
+        mass = self._score_components()
+        self._counts = {}
+        self._trim_edges()
+        return mass
+
+    def _score_components(self):
+        qualifying = [
+            (edge, weights)
+            for edge, weights in self._edges.items()
+            if weights[0] >= self.min_edge_weight
+            and weights[1] / weights[0] >= self.min_agreement
+        ]
+        if not qualifying:
+            return {}
+        parent = {}
+
+        def find(node):
+            root = node
+            while parent[root] != root:
+                root = parent[root]
+            while parent[node] != root:
+                parent[node], node = root, parent[node]
+            return root
+
+        for (a, b), _ in qualifying:
+            parent.setdefault(a, a)
+            parent.setdefault(b, b)
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+        members = {}
+        for node in parent:
+            members.setdefault(find(node), []).append(node)
+        edges_of = {}
+        for (a, b), weights in qualifying:
+            edges_of.setdefault(find(a), []).append(weights)
+        mass = {}
+        for root, nodes in members.items():
+            n = len(nodes)
+            if n < self.min_component_size:
+                continue
+            component_edges = edges_of.get(root, [])
+            density = 2.0 * len(component_edges) / (n * (n - 1))
+            agreement = sum(w[1] / w[0] for w in component_edges) / len(
+                component_edges
+            )
+            score = min(1.0, density) * agreement
+            if score < self.threshold:
+                continue
+            level = unit_suspicion(score)
+            for rater_id in nodes:
+                charged = self._counts.get(rater_id, 0)
+                if charged:
+                    mass[rater_id] = mass.get(rater_id, 0.0) + level * charged
+        return mass
+
+    def _trim_edges(self):
+        overflow = len(self._edges) - self.max_edges
+        if overflow <= 0:
+            return
+        buckets = {}
+        for edge, weights in self._edges.items():
+            buckets.setdefault(weights[0], []).append(edge)
+        remaining = overflow
+        for co_count in sorted(buckets):
+            bucket = buckets[co_count]
+            if len(bucket) > remaining:
+                bucket = sorted(bucket)[:remaining]
+            for edge in bucket:
+                del self._edges[edge]
+            remaining -= len(bucket)
+            if remaining == 0:
+                break
+        self._record_evictions(overflow)
+
+    def state_dict(self):
+        return {
+            "products": {
+                str(pid): [[r, v] for r, v in raters.items()]
+                for pid, raters in self._products.items()
+            },
+            "edges": [[a, b, w[0], w[1]] for (a, b), w in self._edges.items()],
+            "counts": {str(k): v for k, v in self._counts.items()},
+            "since_score": self._since_score,
+            "n_evictions": self.n_evictions,
+        }
+
+    def load_state(self, state):
+        raise NotImplementedError  # the reference never restores
+
+
+# Small caps and few raters, products and values, so that trims run at
+# most scoring passes, co-counts mix, and edges enter and leave the
+# qualifying set.
+cograph_params = st.fixed_dictionaries(
+    {
+        "threshold": st.sampled_from([0.0, 0.3, 0.5]),
+        "score_every": st.integers(1, 3),
+        "agreement_eps": st.sampled_from([0.0, 0.1]),
+        "min_edge_weight": st.integers(1, 3),
+        "min_agreement": st.sampled_from([0.0, 0.5, 0.75, 1.0]),
+        "min_component_size": st.integers(2, 3),
+        "max_raters_per_product": st.integers(2, 6),
+        "co_fanout": st.integers(1, 4),
+        "max_edges": st.integers(1, 12),
+    }
+)
+# An op is a flush (None) or one rating (rater, product, value).
+cograph_ops = st.lists(
+    st.one_of(
+        st.none(),
+        st.tuples(
+            st.integers(0, 7),
+            st.integers(0, 4),
+            st.sampled_from([0.1, 0.15, 0.5, 0.9]),
+        ),
+    ),
+    max_size=120,
+)
+
+
+def _flush_view(source, mass):
+    """Everything a flush must reproduce, in order."""
+    return (
+        list(mass.items()),
+        list(source._edges),
+        source.n_evictions,
+        json.dumps(source.state_dict()),
+    )
+
+
+def _drive(source, ops, start=0):
+    """Apply ``ops`` (rating ids from ``start``); one view per flush."""
+    views = []
+    for index, op in enumerate(ops, start):
+        if op is None:
+            views.append(_flush_view(source, source.flush()))
+        else:
+            rater, product, value = op
+            source.observe(Rating(index, rater, product, value, time=float(index)))
+    return views
+
+
+class TestCoRatingGraphDifferential:
+    """The indexed source against the frozen full-scan reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(params=cograph_params, ops=cograph_ops)
+    @example(  # an evicted edge that qualified must leave scoring too
+        params={
+            "threshold": 0.0,
+            "score_every": 1,
+            "agreement_eps": 0.0,
+            "min_edge_weight": 1,
+            "min_agreement": 0.0,
+            "min_component_size": 2,
+            "max_raters_per_product": 2,
+            "co_fanout": 1,
+            "max_edges": 1,
+        },
+        ops=[(0, 0, 0.1), (1, 0, 0.1), (2, 0, 0.1), None, (0, 0, 0.1)],
+    )
+    def test_every_flush_matches_the_full_scan(self, params, ops):
+        ops = ops + [None]
+        expected = _drive(_ReferenceCoRatingGraph(**params), ops)
+        assert _drive(CoRatingGraphSource(**params), ops) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(params=cograph_params, ops=cograph_ops, cut=st.integers(0, 121))
+    @example(  # an edge born after the restore must sort after the loaded ones
+        params={
+            "threshold": 0.0,
+            "score_every": 1,
+            "agreement_eps": 0.0,
+            "min_edge_weight": 1,
+            "min_agreement": 0.0,
+            "min_component_size": 2,
+            "max_raters_per_product": 2,
+            "co_fanout": 1,
+            "max_edges": 1,
+        },
+        ops=[(0, 0, 0.1), (2, 0, 0.1), (3, 0, 0.1), (1, 0, 0.1)],
+        cut=3,
+    )
+    def test_restore_mid_stream_continues_identically(self, params, ops, cut):
+        ops = ops + [None]
+        cut = min(cut, len(ops))
+        uninterrupted = CoRatingGraphSource(**params)
+        expected = _drive(uninterrupted, ops)
+        first = CoRatingGraphSource(**params)
+        before = _drive(first, ops[:cut])
+        restored = CoRatingGraphSource(**params)
+        restored.load_state(json.loads(json.dumps(first.state_dict())))
+        after = _drive(restored, ops[cut:], start=cut)
+        assert before + after == expected
+        assert restored.state_dict() == uninterrupted.state_dict()
 
 
 class TestIterativeFilterSource:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -76,6 +77,11 @@ class TestWriteAheadLog:
         assert engine.wal.n_entries == 65  # 64 ratings + one flush marker
         assert fsyncs == 1
         engine.close()
+
+    @pytest.mark.parametrize("unfair", [False, True])
+    def test_rating_to_dict_matches_asdict(self, unfair):
+        rating = Rating(7, 3, 11, 0.625, time=2.5, unfair=unfair)
+        assert list(rating_to_dict(rating).items()) == list(asdict(rating).items())
 
     def test_invalid_fsync_every(self, tmp_path):
         with pytest.raises(ConfigurationError):
