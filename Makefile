@@ -8,8 +8,8 @@ test:
 
 # The crash and durability tests, by name: worker SIGKILL, lost ingest-WAL
 # tail, coordinator SIGKILL after acks, torn tail, SIGTERM drain,
-# real-process recovery crashes, and the group-commit invariant and
-# power-loss tests.
+# real-process recovery crashes, the group-commit invariant and
+# power-loss tests, and the HTTP stop that answers in-flight requests.
 DURABILITY_TESTS = \
 	tests/test_service_cluster.py::TestWorkerCrashRecovery \
 	tests/test_service_cluster.py::TestPowerLoss \
@@ -22,7 +22,8 @@ DURABILITY_TESTS = \
 	tests/test_service_wal.py::TestSegments::test_torn_unparseable_final_line_dropped_once \
 	tests/test_service_wal.py::TestCrashRecovery \
 	tests/test_service_wal.py::TestSnapshots::test_snapshot_every_counts_accepted_ratings \
-	tests/test_cli_service.py::TestReplay::test_reopening_a_replayed_wal_dir_recovers_its_flushes
+	tests/test_cli_service.py::TestReplay::test_reopening_a_replayed_wal_dir_recovers_its_flushes \
+	tests/test_service_http.py::TestGracefulStop
 
 durability:
 	$(PYTHON) -m pytest -q $(DURABILITY_TESTS)

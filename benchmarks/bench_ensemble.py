@@ -4,9 +4,15 @@ Prices what each additional online detector costs on the serving hot
 path.  The same rating stream is pushed through three engines -- AR
 only, AR + co-rating graph, and the full three-source ensemble -- and
 the headline number is the full ensemble's slowdown relative to
-AR-only.  The ISSUE budget is a soft 2x floor: every source is bounded
+AR-only.  The budget is a soft 2x floor: every source is bounded
 (LRU rater sets, capped fanout and edge sets, windowed sweeps), so the
 whole ensemble must stay within 2x of the single-detector engine.
+
+One timing of one config swings by ~30% between runs on a small box,
+so the configs are interleaved over :data:`ROUNDS` rounds (each round
+runs all three, in a rotated order) and every number is a median with
+its quartiles.  A slowdown is the median of the per-round ratios, so
+drift across rounds cancels out of each ratio.
 
 Also runs standalone without pytest (``make bench-ensemble`` rebuilds
 the committed ``BENCH_ensemble.json``, stamped with where it ran)::
@@ -22,11 +28,12 @@ scoring work of each source, not the eviction path.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
 from pathlib import Path
-from typing import List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +50,7 @@ N_RATINGS = 20_000
 N_PRODUCTS = 40
 N_RATERS = 200
 STREAM_SEED = 13
+ROUNDS = 7
 
 CONFIGS: Tuple[Tuple[str, ...], ...] = (
     ("ar",),
@@ -83,51 +91,67 @@ def _config(sources: Tuple[str, ...]) -> ServiceConfig:
     )
 
 
-def _ingest_seconds(sources: Tuple[str, ...], stream: List[Rating], repeats: int = 3) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        engine = RatingEngine(_config(sources))
-        start = time.perf_counter()
-        engine.submit_many(stream)
-        engine.flush()
-        best = min(best, time.perf_counter() - start)
-        engine.close()
-    return best
+def _ingest_seconds(sources: Tuple[str, ...], stream: List[Rating]) -> float:
+    engine = RatingEngine(_config(sources))
+    gc.collect()  # the previous config's garbage is not this run's cost
+    start = time.perf_counter()
+    engine.submit_many(stream)
+    engine.flush()
+    seconds = time.perf_counter() - start
+    engine.close()
+    return seconds
+
+
+def _quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
+    """(first quartile, median, third quartile)."""
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return float(q1), float(median), float(q3)
 
 
 def run_bench(n_ratings: int = N_RATINGS) -> dict:
     stream = _stream(n_ratings)
+    names = ["+".join(sources) for sources in CONFIGS]
+    seconds: Dict[str, List[float]] = {name: [] for name in names}
+    for round_index in range(ROUNDS):
+        shift = round_index % len(CONFIGS)
+        for sources in CONFIGS[shift:] + CONFIGS[:shift]:
+            seconds["+".join(sources)].append(_ingest_seconds(sources, stream))
     stats: dict = {
         "n_ratings": n_ratings,
+        "rounds": ROUNDS,
         "provenance": provenance(ROOT, STREAM_SEED),
         "sources": {},
     }
-    baseline = None
-    for sources in CONFIGS:
-        seconds = _ingest_seconds(sources, stream)
-        rps = n_ratings / seconds
-        if baseline is None:
-            baseline = rps
-        stats["sources"]["+".join(sources)] = {
+    baseline = seconds[names[0]]
+    for sources, name in zip(CONFIGS, names):
+        q1, median, q3 = _quartiles(seconds[name])
+        r1, ratio, r3 = _quartiles(
+            [run / base for run, base in zip(seconds[name], baseline)]
+        )
+        stats["sources"][name] = {
             "n_sources": len(sources),
-            "seconds": round(seconds, 4),
-            "ratings_per_second": round(rps, 1),
-            "slowdown_vs_ar": round(baseline / rps, 3),
+            "seconds": round(median, 4),
+            "seconds_quartiles": [round(q1, 4), round(q3, 4)],
+            "ratings_per_second": round(n_ratings / median, 1),
+            "slowdown_vs_ar": round(ratio, 3),
+            "slowdown_quartiles": [round(r1, 3), round(r3, 3)],
         }
-    stats["full_ensemble_slowdown"] = stats["sources"][
-        "+".join(CONFIGS[-1])
-    ]["slowdown_vs_ar"]
+    full = stats["sources"][names[-1]]
+    stats["full_ensemble_slowdown"] = full["slowdown_vs_ar"]
+    stats["full_ensemble_slowdown_quartiles"] = full["slowdown_quartiles"]
     return stats
 
 
 def _report(stats: dict) -> str:
-    lines = []
+    lines = [f"medians (quartiles) over {stats['rounds']} interleaved rounds"]
     for name, entry in stats["sources"].items():
+        q1, q3 = entry["seconds_quartiles"]
+        r1, r3 = entry["slowdown_quartiles"]
         lines.append(
             f"{entry['n_sources']} source(s) ({name:<22}) "
-            f"{entry['seconds']:.3f}s  "
+            f"{entry['seconds']:.3f}s ({q1:.3f}-{q3:.3f})  "
             f"{entry['ratings_per_second']:>9.0f} ratings/sec  "
-            f"({entry['slowdown_vs_ar']:.2f}x vs AR-only)"
+            f"{entry['slowdown_vs_ar']:.2f}x ({r1:.2f}-{r3:.2f}) vs AR-only"
         )
     lines.append(
         f"full ensemble slowdown: {stats['full_ensemble_slowdown']:.2f}x "
@@ -142,7 +166,8 @@ def check_budget(stats: dict, max_slowdown: float) -> list:
     if stats["full_ensemble_slowdown"] > max_slowdown:
         problems.append(
             f"full ensemble ingest is {stats['full_ensemble_slowdown']}x "
-            f"AR-only, above the {max_slowdown}x budget"
+            f"AR-only (median of {stats['rounds']} rounds), above the "
+            f"{max_slowdown}x budget"
         )
     return problems
 

@@ -639,23 +639,31 @@ class ClusterCoordinator:
         with handle.credit:
             handle.sent += len(batch)
 
+    def _caught_up(self, handle: _WorkerHandle, timeout: float) -> bool:
+        """Block until the worker's queue is empty and every sent entry
+        is confirmed applied, or discarded while the worker is down;
+        False if ``timeout`` seconds pass first.
+
+        Every transition into that state notifies ``credit``: the
+        ``processed`` frame, the sender clearing ``busy`` after each
+        batch (sent or discarded), and ``discard`` flipping either way.
+        """
+        with handle.credit:
+            return handle.credit.wait_for(
+                lambda: handle.queue.empty()
+                and not handle.busy
+                and (handle.discard or handle.sent <= handle.processed),
+                timeout,
+            )
+
     def _drain_handle(self, handle: _WorkerHandle, timeout: float = 600.0) -> None:
         """Wait until the worker's queue is empty and all sent entries
         are confirmed applied (or discarded).  Route lock held."""
-        deadline = time.monotonic() + timeout
-        while True:
-            with handle.credit:
-                idle = handle.queue.empty() and not handle.busy and (
-                    handle.discard or handle.sent <= handle.processed
-                )
-            if idle:
-                return
-            if time.monotonic() > deadline:
-                raise ReproError(
-                    f"cluster worker {handle.index} failed to drain within "
-                    f"{timeout:.0f}s"
-                )
-            time.sleep(0.001)
+        if not self._caught_up(handle, timeout):
+            raise ReproError(
+                f"cluster worker {handle.index} failed to drain within "
+                f"{timeout:.0f}s"
+            )
 
     # -- rpc ----------------------------------------------------------------
 
@@ -780,15 +788,7 @@ class ClusterCoordinator:
     def _wait_applied(self, handle: _WorkerHandle, timeout: float = 30.0) -> None:
         """Best-effort read-your-writes: let the worker catch up to the
         entries already queued before serving the read."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with handle.credit:
-                caught_up = handle.queue.empty() and not handle.busy and (
-                    handle.sent <= handle.processed
-                )
-            if caught_up or not handle.up:
-                return
-            time.sleep(0.001)
+        self._caught_up(handle, timeout)
 
     def score(self, product_id: int) -> Optional[float]:
         """Trust-weighted score from the owning worker.

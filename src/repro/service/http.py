@@ -1,7 +1,7 @@
 """Stdlib HTTP API over the rating engine.
 
-A thin JSON layer (``http.server.ThreadingHTTPServer``, no runtime
-dependencies) exposing the portal surface of Fig. 1:
+A thin JSON layer (stdlib only, no runtime dependencies) exposing the
+portal surface of Fig. 1:
 
 ==========================  ===============================================
 ``POST /ratings``           submit one rating
@@ -23,6 +23,15 @@ product) return 409 with the reason; behind a cluster coordinator
 rating is durably logged and queued, with detection applied
 asynchronously by the owning worker.
 
+The connection model is HTTP/1.0, one request per connection.
+:data:`HANDLER_THREADS` threads block in ``accept()`` on the listening
+socket; each reads one request from the connection it accepted
+(bounded by :data:`MAX_LINE_BYTES`, :data:`MAX_HEADERS` and a
+:data:`CONNECTION_TIMEOUT_S` socket timeout), answers it with one
+write, and closes it.  No thread is started per connection.  While
+every handler is busy, new connections wait in a
+:data:`LISTEN_BACKLOG`-deep listen queue.
+
 The ``engine`` may be any object with the :class:`RatingEngine`
 serving surface -- in particular
 :class:`~repro.service.cluster.coordinator.ClusterCoordinator`.  When
@@ -31,9 +40,10 @@ per-worker gauges), ``GET /metrics`` uses that instead of the bare
 registry render.
 
 ``serve`` installs SIGTERM/SIGINT handlers so ``kill <pid>`` and
-Ctrl-C both take the drain-then-exit path: the HTTP socket closes
-first (no new acks), then the engine flushes, snapshots, and closes --
-an acked rating is never dropped by a graceful stop.
+Ctrl-C both take the drain-then-exit path: the listening socket stops
+accepting first (no new acks), every in-flight request is answered,
+then the engine flushes, snapshots, and closes -- an acked rating is
+never dropped by a graceful stop.
 """
 
 from __future__ import annotations
@@ -41,10 +51,12 @@ from __future__ import annotations
 import json
 import re
 import signal
+import socket
+import socketserver
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from http.server import BaseHTTPRequestHandler
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproError, UnknownProductError
 from repro.ratings.models import Rating, fresh_rating_id
@@ -63,46 +75,164 @@ _TRUST_RE = re.compile(r"^/raters/(-?\d+)/trust$")
 
 MAX_BODY_BYTES = 1 << 20
 
+#: Threads accepting and serving connections, one connection each.
+HANDLER_THREADS = 8
+#: Connections the kernel queues while every handler thread is busy.
+LISTEN_BACKLOG = 128
+#: Longest request line or header line, in bytes.
+MAX_LINE_BYTES = 1 << 16
+#: Most header lines one request may carry.
+MAX_HEADERS = 100
+#: Socket timeout per connection, so an idle client cannot hold a
+#: handler thread.
+CONNECTION_TIMEOUT_S = 5.0
 
-class RatingServiceServer(ThreadingHTTPServer):
-    """Threading HTTP server bound to one :class:`RatingEngine`."""
 
-    daemon_threads = True
+class RatingServiceServer(socketserver.TCPServer):
+    """A fixed pool of accepting handler threads bound to one engine.
+
+    :meth:`serve_forever` runs :data:`HANDLER_THREADS` threads, each
+    looping ``accept()`` -> serve that connection -> close it.
+    :meth:`shutdown` stops accepting and returns once every in-flight
+    request has been answered; a connection still sending its request
+    holds the stop until it finishes, or until one read has waited
+    :data:`CONNECTION_TIMEOUT_S`.
+    """
+
     allow_reuse_address = True
+    request_queue_size = LISTEN_BACKLOG
 
     def __init__(self, address: Tuple[str, int], engine: RatingEngine, quiet: bool = True):
         super().__init__(address, _Handler)
         self.engine = engine
         self.quiet = quiet
         self.started = time.monotonic()
+        self._stopping = False
+        self._pool: List[threading.Thread] = []
+        self._pool_lock = threading.Lock()
+
+    def serve_forever(self) -> None:  # type: ignore[override]
+        """Serve on the handler pool until :meth:`shutdown`."""
+        with self._pool_lock:
+            if self._stopping:
+                return
+            self._pool = [
+                threading.Thread(
+                    target=self._serve_connections, name=f"http-{i}", daemon=True
+                )
+                for i in range(HANDLER_THREADS)
+            ]
+            for thread in self._pool:
+                thread.start()
+        for thread in self._pool:
+            thread.join()
+
+    def _serve_connections(self) -> None:
+        while not self._stopping:
+            try:
+                conn, address = self.socket.accept()
+            except OSError:
+                continue  # woken by shutdown(), or the peer reset first
+            try:
+                self.finish_request(conn, address)
+            except Exception:  # noqa: BLE001 - socketserver's boundary:
+                # report and keep the pool thread serving.
+                self.handle_error(conn, address)
+            finally:
+                self.shutdown_request(conn)
+
+    def shutdown(self) -> None:
+        """Stop accepting; return once every in-flight request is answered."""
+        with self._pool_lock:
+            self._stopping = True
+        try:
+            # Wakes every thread blocked in accept() (EINVAL on Linux).
+            self.socket.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        for thread in self._pool:
+            thread.join()
+
+    def server_close(self) -> None:
+        self.shutdown()
+        super().server_close()
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """Routes portal requests onto the engine."""
+    """Routes portal requests onto the engine, one request per connection."""
 
     server: RatingServiceServer  # narrowed for type checkers
+    timeout = CONNECTION_TIMEOUT_S
+    headers: Dict[str, str]  # lower-cased field name -> value
 
     # -- plumbing ---------------------------------------------------------
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
+    def handle(self) -> None:
+        """Read one request, dispatch it to ``do_<METHOD>``, answer it."""
+        self.command = None
+        try:
+            problem = self._read_head()
+        except OSError:
+            return  # timed out or reset before a whole request arrived
+        if problem is not None:
+            self._send_json(problem[0], {"error": problem[1]})
+        elif self.command is not None:  # None: closed without a request
+            getattr(self, "do_" + self.command)()
+
+    def _read_head(self) -> Optional[Tuple[int, str]]:
+        """Parse the request line and headers; the error status to answer."""
+        line = self.rfile.readline(MAX_LINE_BYTES + 1)
+        if not line:
+            return None
+        self.requestline = line.decode("iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if (
+            len(line) > MAX_LINE_BYTES
+            or len(words) != 3
+            or not words[2].startswith("HTTP/1.")
+        ):
+            return 400, "malformed request line"
+        self.headers = {}
+        for _ in range(MAX_HEADERS + 1):
+            line = self.rfile.readline(MAX_LINE_BYTES + 1)
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, colon, value = line.decode("iso-8859-1").partition(":")
+            if (
+                len(line) > MAX_LINE_BYTES
+                or not colon
+                or not name
+                or name != name.strip()  # empty, padded, or folded
+            ):
+                return 400, "malformed header line"
+            self.headers[name.lower()] = value.strip()
+        else:
+            return 400, f"more than {MAX_HEADERS} header lines"
+        method, self.path, self.request_version = words
+        if not hasattr(self, "do_" + method):
+            return 501, f"unsupported method {method}"
+        if "transfer-encoding" in self.headers:
+            return 501, "Transfer-Encoding is not supported; send Content-Length"
+        self.command = method
+        return None
+
+    def _respond(self, status: int, content_type: str, body: bytes) -> None:
+        """Status line, headers and body in one write."""
+        head = (
+            f"HTTP/1.0 {status} {self.responses[status][0]}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            f"Date: {self.date_time_string()}\r\n\r\n"
+        )
+        self.wfile.write(head.encode("latin-1") + body)
         if not self.server.quiet:
-            super().log_message(format, *args)
+            self.log_request(status, len(body))
 
     def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._respond(status, "application/json", json.dumps(payload).encode("utf-8"))
 
     def _send_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._respond(status, content_type, text.encode("utf-8"))
 
     # -- GET --------------------------------------------------------------
 
@@ -160,14 +290,20 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(404, {"error": f"no route for {self.path}"})
             return
         try:
-            length = int(self.headers.get("Content-Length", "0"))
+            length = int(self.headers.get("content-length", "0"))
         except ValueError:
             self._send_json(400, {"error": "bad Content-Length"})
             return
         if length <= 0 or length > MAX_BODY_BYTES:
             self._send_json(400, {"error": "body required (max 1 MiB)"})
             return
-        raw = self.rfile.read(length)
+        try:
+            raw = self.rfile.read(length)
+        except OSError:  # timed out or reset inside the body
+            raw = b""
+        if len(raw) < length:
+            self._send_json(400, {"error": "body shorter than Content-Length"})
+            return
         try:
             payload = json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -243,7 +379,8 @@ def serve(
     """Serve until SIGTERM/SIGINT; drains and closes the engine on exit.
 
     The stop path is ordered for durability: stop accepting requests
-    (no new acks can race the drain), then ``engine.close()`` -- which
+    (no new acks can race the drain) and wait for the requests already
+    accepted to be answered, then ``engine.close()`` -- which
     flushes pending work, takes a final snapshot, and for a cluster
     coordinator drains every worker queue and shuts the workers down.
     Every acked rating is therefore applied-or-WAL-durable before the
@@ -252,9 +389,8 @@ def serve(
     server = make_server(engine, host=host, port=port, quiet=quiet)
 
     def request_stop(signum, frame):  # noqa: ARG001 - signal signature
-        # shutdown() waits for serve_forever to exit, and signal
-        # handlers run on the thread that runs serve_forever -- hand
-        # the call to a helper thread to avoid the self-deadlock.
+        # shutdown() waits for every in-flight request; keep the
+        # handler itself short and let a helper thread wait.
         threading.Thread(target=server.shutdown, daemon=True).start()
 
     previous = {}

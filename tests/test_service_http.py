@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import socket
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -10,6 +13,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.service import RatingEngine, ServiceConfig
+from repro.service import http as http_mod
 from repro.service.http import start_background
 
 
@@ -23,6 +27,28 @@ def service():
     yield engine, base
     server.shutdown()
     server.server_close()
+
+
+def _raw(base, data, timeout=10.0, keep_open=False):
+    """Send raw bytes on one connection, then (unless ``keep_open``) end
+    the sending side; (status, JSON body) of the reply."""
+    port = int(base.rsplit(":", 1)[1])
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(data)
+        if not keep_open:
+            sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.0 "), head
+    return int(head.split(b" ", 2)[1]), json.loads(body)
+
+
+_RATING = b'{"rater_id": 1, "product_id": 1, "value": 0.5, "time": 1.0}'
 
 
 def _get(url):
@@ -185,3 +211,255 @@ class TestMetricsEndpoint:
         assert "repro_ratings_accepted_total" in families
         assert "repro_ingest_latency_seconds" in families
         assert samples > 10
+
+
+class TestRequestParsing:
+    """Raw-socket requests against the limits of the lean HTTP/1.0 parser."""
+
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            (b"garbage\r\n\r\n", 400),
+            (b"GET /healthz\r\n\r\n", 400),
+            (b"GET /healthz HTTP/2.0\r\n\r\n", 400),
+            (b"GET /" + b"a" * http_mod.MAX_LINE_BYTES + b" HTTP/1.0\r\n\r\n", 400),
+            (b"GET /healthz HTTP/1.0\r\nno colon here\r\n\r\n", 400),
+            (b"GET /healthz HTTP/1.0\r\n folded: header\r\n\r\n", 400),
+            (b"GET /healthz HTTP/1.0\r\n: empty name\r\n\r\n", 400),
+            (
+                b"GET /healthz HTTP/1.0\r\nX-Big: "
+                + b"b" * http_mod.MAX_LINE_BYTES
+                + b"\r\n\r\n",
+                400,
+            ),
+            (
+                b"GET /healthz HTTP/1.0\r\n"
+                + b"".join(
+                    b"X-H%d: v\r\n" % i for i in range(http_mod.MAX_HEADERS + 1)
+                )
+                + b"\r\n",
+                400,
+            ),
+            (
+                b"POST /ratings HTTP/1.0\r\nTransfer-Encoding: chunked\r\n\r\n"
+                b"3\r\n{}\n\r\n0\r\n\r\n",
+                501,
+            ),
+            (b"PUT /ratings HTTP/1.0\r\n\r\n", 501),
+            (b"DELETE /ratings HTTP/1.0\r\n\r\n", 501),
+            (b"POST /ratings HTTP/1.0\r\n\r\n", 400),
+            (b"POST /ratings HTTP/1.0\r\nContent-Length: abc\r\n\r\n", 400),
+            (b"POST /ratings HTTP/1.0\r\nContent-Length: 60\r\n\r\n{}", 400),
+            (b"POST /ratings HTTP/1.0\r\nContent-Length: -5\r\n\r\n", 400),
+            (
+                b"POST /ratings HTTP/1.0\r\nContent-Length: %d\r\n\r\n"
+                % (http_mod.MAX_BODY_BYTES + 1),
+                400,
+            ),
+        ],
+        ids=[
+            "bad-request-line",
+            "no-version",
+            "http2-version",
+            "request-line-too-long",
+            "header-without-colon",
+            "folded-header",
+            "empty-header-name",
+            "header-line-too-long",
+            "too-many-headers",
+            "transfer-encoding",
+            "put",
+            "delete",
+            "post-without-length",
+            "post-bad-length",
+            "post-body-cut-short",
+            "post-negative-length",
+            "post-body-too-large",
+        ],
+    )
+    def test_rejected(self, service, request_bytes, status):
+        engine, base = service
+        got, body = _raw(base, request_bytes)
+        assert got == status
+        assert "error" in body
+        assert engine.n_accepted == 0
+        # The handler thread is free again.
+        assert _raw(base, b"GET /healthz HTTP/1.0\r\n\r\n")[0] == 200
+
+    def test_most_headers_allowed(self, service):
+        _engine, base = service
+        headers = b"".join(
+            b"X-H%d: v\r\n" % i for i in range(http_mod.MAX_HEADERS)
+        )
+        assert _raw(base, b"GET /healthz HTTP/1.0\r\n" + headers + b"\r\n")[0] == 200
+
+    def test_header_names_are_case_insensitive(self, service):
+        engine, base = service
+        status, body = _raw(
+            base,
+            b"POST /ratings HTTP/1.1\r\ncOnTeNt-LeNgTh: %d\r\n\r\n" % len(_RATING)
+            + _RATING,
+        )
+        assert status == 201 and body["accepted"] is True
+        assert engine.n_accepted == 1
+
+    def test_connection_closed_without_a_request(self, service):
+        _engine, base = service
+        port = int(base.rsplit(":", 1)[1])
+        socket.create_connection(("127.0.0.1", port)).close()
+        assert _raw(base, b"GET /healthz HTTP/1.0\r\n\r\n")[0] == 200
+
+    def test_response_is_one_write(self, service, monkeypatch):
+        _engine, base = service
+        writes = []
+        setup = http_mod._Handler.setup
+
+        def counting_setup(handler):
+            setup(handler)
+            write = handler.wfile.write
+
+            def counted(data):
+                writes.append(len(data))
+                return write(data)
+
+            handler.wfile.write = counted
+
+        monkeypatch.setattr(http_mod._Handler, "setup", counting_setup)
+        assert _raw(base, b"GET /healthz HTTP/1.0\r\n\r\n")[0] == 200
+        status, _ = _raw(
+            base,
+            b"POST /ratings HTTP/1.0\r\nContent-Length: %d\r\n\r\n" % len(_RATING)
+            + _RATING,
+        )
+        assert status == 201
+        assert len(writes) == 2
+
+    def test_fixed_handler_pool(self, service, monkeypatch):
+        """Concurrent requests are served by the pool's threads; no
+        thread is started per connection."""
+        _engine, base = service
+        served_by = []
+        setup = http_mod._Handler.setup
+
+        def recording_setup(handler):
+            served_by.append(threading.current_thread())
+            setup(handler)
+
+        monkeypatch.setattr(http_mod._Handler, "setup", recording_setup)
+        clients = [
+            threading.Thread(
+                target=lambda: [
+                    _raw(base, b"GET /healthz HTTP/1.0\r\n\r\n") for _ in range(10)
+                ]
+            )
+            for _ in range(4)
+        ]
+        for client in clients:
+            client.start()
+        for client in clients:
+            client.join()
+        assert len(served_by) == 40
+        threads = set(served_by)
+        assert len(threads) <= http_mod.HANDLER_THREADS
+        assert all(thread.name.startswith("http-") for thread in threads)
+
+
+class TestConnectionLifecycle:
+    def test_idle_connections_time_out(self, monkeypatch):
+        """One more idle connection than the pool has threads cannot
+        starve a real request: each idle one times out."""
+        monkeypatch.setattr(http_mod._Handler, "timeout", 0.2)
+        engine = RatingEngine(ServiceConfig(detector_window=12, detector_order=2))
+        server, _thread = start_background(engine)
+        port = server.server_address[1]
+        idle = [
+            socket.create_connection(("127.0.0.1", port))
+            for _ in range(http_mod.HANDLER_THREADS + 1)
+        ]
+        try:
+            start = time.monotonic()
+            status, body = _raw(
+                f"http://127.0.0.1:{port}", b"GET /healthz HTTP/1.0\r\n\r\n"
+            )
+            assert status == 200 and body["status"] == "ok"
+            assert time.monotonic() - start < 5.0
+        finally:
+            for sock in idle:
+                sock.close()
+            server.shutdown()
+            server.server_close()
+
+
+    def test_stalled_body_times_out_with_400(self, monkeypatch):
+        monkeypatch.setattr(http_mod._Handler, "timeout", 0.2)
+        engine = RatingEngine(ServiceConfig(detector_window=12, detector_order=2))
+        server, _thread = start_background(engine)
+        try:
+            status, body = _raw(
+                f"http://127.0.0.1:{server.server_address[1]}",
+                b"POST /ratings HTTP/1.0\r\nContent-Length: 60\r\n\r\n{",
+                keep_open=True,
+            )
+            assert status == 400
+            assert "shorter than Content-Length" in body["error"]
+            assert engine.n_accepted == 0
+        finally:
+            server.shutdown()
+            server.server_close()
+
+
+class TestGracefulStop:
+    def test_stop_answers_the_in_flight_post(self, monkeypatch):
+        """shutdown() + server_close() stop accepting at once but return
+        only after the POST already inside engine.submit got its 2xx."""
+        engine = RatingEngine(ServiceConfig(detector_window=12, detector_order=2))
+        server, _thread = start_background(engine)
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+        entered = threading.Event()
+        release = threading.Event()
+        submit = engine.submit
+
+        def blocked_submit(rating):
+            entered.set()
+            release.wait(10)
+            return submit(rating)
+
+        monkeypatch.setattr(engine, "submit", blocked_submit)
+        reply = {}
+        poster = threading.Thread(
+            target=lambda: reply.update(
+                result=_raw(
+                    base,
+                    b"POST /ratings HTTP/1.0\r\nContent-Length: %d\r\n\r\n"
+                    % len(_RATING)
+                    + _RATING,
+                )
+            )
+        )
+        poster.start()
+        assert entered.wait(5)
+        closed = threading.Event()
+
+        def stop():
+            server.shutdown()
+            server.server_close()
+            closed.set()
+
+        stopper = threading.Thread(target=stop)
+        stopper.start()
+        try:
+            time.sleep(0.2)
+            assert not closed.is_set()
+            # Already stopped accepting: a new connection is refused.
+            with pytest.raises(OSError):
+                _raw(base, b"GET /healthz HTTP/1.0\r\n\r\n", timeout=2.0)
+            assert not closed.is_set()
+        finally:
+            release.set()
+            poster.join(10)
+            stopper.join(10)
+        assert closed.is_set()
+        status, body = reply["result"]
+        assert status == 201 and body["accepted"] is True
+        assert engine.n_accepted == 1
+        engine.close()
