@@ -7,13 +7,15 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # The crash and durability tests, by name: worker SIGKILL, lost ingest-WAL
-# tail, coordinator SIGKILL after acks, torn tail, SIGTERM drain,
+# tail, coordinator SIGKILL after acks, a worker SIGKILLed while a full
+# credit window blocks a submit, torn tail, SIGTERM drain,
 # real-process recovery crashes, the group-commit invariant and
 # power-loss tests, and the HTTP stop that answers in-flight requests.
 DURABILITY_TESTS = \
 	tests/test_service_cluster.py::TestWorkerCrashRecovery \
 	tests/test_service_cluster.py::TestPowerLoss \
 	tests/test_service_cluster.py::TestCoordinatorProcessKill \
+	tests/test_service_cluster.py::TestBackpressure \
 	tests/test_service_cluster.py::test_serve_sigterm_drains_cluster \
 	tests/test_service_recovery_crash.py \
 	tests/test_service_wal.py::TestWriteAheadLog::test_worker_flush_fsyncs_a_chunk_once \

@@ -163,7 +163,7 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         "--queue-depth",
         type=int,
         default=4096,
-        help="cluster: max acked ratings buffered per worker",
+        help="cluster: max acked ratings sent to a worker and not yet processed",
     )
     parser.add_argument(
         "--ack-fsync-every",

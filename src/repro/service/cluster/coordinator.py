@@ -6,13 +6,16 @@ fanning the actual work out to ``cluster_workers`` engine processes (:mod:`repro
 ensemble sweeps run on real parallel cores instead of time-slicing one
 GIL.
 
-**Ack path** (the latency-critical line): ``submit`` appends the
-rating to the coordinator's own ingest WAL (group-committed every
-``cluster_ack_fsync_every`` appends) and enqueues it on the owning
-worker's bounded queue -- the ack means *durably queued*, detection
-and trust updates happen asynchronously in the worker
-(:attr:`SubmitResult.queued`).  A full queue blocks the submit:
-backpressure, not unbounded memory.
+**Ack path** (the latency-critical line): under the route lock,
+``submit_many`` appends a chunk of ratings to the coordinator's own
+ingest WAL (group-committed every ``cluster_ack_fsync_every``
+appends), hands it to the OS, and sends one ingest frame to each
+worker that owns part of it, all before the acks -- the ack means
+*durably queued*, detection and trust updates happen asynchronously
+in the worker (:attr:`SubmitResult.queued`).  A worker may hold at
+most ``cluster_queue_depth`` entries sent but not yet reported
+processed; a full credit window blocks the submit: backpressure, not
+unbounded memory.
 
 **Trust** is coordinator-side: workers send per-flush digests
 (provided counts, combined suspicion, flagged counts) to the
@@ -54,7 +57,6 @@ import copy
 import itertools
 import logging
 import os
-import queue
 import tempfile
 import threading
 import time
@@ -101,9 +103,6 @@ __effect_contracts__ = {
     },
 }
 
-#: Sentinel closing a worker's send queue.
-_STOP = object()
-
 _HELLO_TIMEOUT = 300.0
 _RPC_TIMEOUT = 120.0
 
@@ -111,27 +110,26 @@ _RPC_TIMEOUT = 120.0
 class _WorkerHandle:
     """Coordinator-side state for one worker process.
 
-    Credit-window fields (``sent``/``processed``/``busy``) are guarded
-    by the ``credit`` condition; the rest is mutated only under the
-    route/restart locks or before the worker is visible.
+    The credit window (``sent``/``processed``/``connected``) is guarded
+    by the ``credit`` condition: at most ``cluster_queue_depth``
+    entries are sent but not yet reported processed.  The rest is
+    mutated only under the route/restart locks or before the worker is
+    visible.
     """
 
-    def __init__(self, index: int, depth: int) -> None:
+    def __init__(self, index: int) -> None:
         self.index = index
         self.process = None
         self.conn: Optional[Connection] = None
-        self.queue: "queue.Queue" = queue.Queue(maxsize=depth)
         self.send_lock = threading.Lock()
         self.credit = threading.Condition()
         self.sent = 0  # entries sent on the current connection
         self.processed = 0  # entries the worker confirmed applying
-        self.busy = False  # sender holds a popped, unsent batch
-        self.discard = False  # drop queued entries (redelivery owns them)
+        self.connected = False  # the current conn is live (False once it drops)
         self.watermark = -1  # highest coordinator seq worker durably holds
         self.hello = threading.Event()
         self.up = False
         self.reader: Optional[threading.Thread] = None
-        self.sender: Optional[threading.Thread] = None
 
 
 class ClusterCoordinator:
@@ -192,7 +190,7 @@ class ClusterCoordinator:
         self._m_queue_depth = [
             m.gauge(
                 "repro_ingest_queue_depth",
-                "Acked ratings waiting in a worker's bounded ingest queue.",
+                "Acked ratings sent to a worker and not yet reported processed.",
                 labels={"worker": str(i)},
             )
             for i in range(config.cluster_workers)
@@ -229,10 +227,7 @@ class ClusterCoordinator:
         )
         self._m_wal_segments.set(self.wal.n_segments)
 
-        self._handles = [
-            _WorkerHandle(i, config.cluster_queue_depth)
-            for i in range(config.cluster_workers)
-        ]
+        self._handles = [_WorkerHandle(i) for i in range(config.cluster_workers)]
 
         # AF_UNIX socket in a private temp dir: path length stays under
         # the sockaddr_un limit no matter how deep wal_dir nests.
@@ -256,8 +251,7 @@ class ClusterCoordinator:
                     f"{sorted(pending)}"
                 )
             for handle in self._handles:
-                handle.conn = pending[handle.index]
-                self._start_reader(handle)
+                self._start_reader(handle, pending[handle.index])
             for handle in self._handles:
                 self._await_hello(handle)
             self._reconcile_lost_tail()
@@ -266,8 +260,6 @@ class ClusterCoordinator:
                 self._redeliver(handle)
                 handle.up = True
                 self._m_worker_up[handle.index].set(1.0)
-            for handle in self._handles:
-                self._start_sender(handle)
             started = True
         finally:
             if not started:
@@ -317,23 +309,21 @@ class ClusterCoordinator:
             )
         return result["index"], result["conn"]
 
-    def _start_reader(self, handle: _WorkerHandle) -> None:
+    def _start_reader(self, handle: _WorkerHandle, conn: Connection) -> None:
+        """Make ``conn`` the worker's connection, with an empty credit
+        window, and start reading it."""
+        with handle.credit:
+            handle.conn = conn
+            handle.sent = 0
+            handle.processed = 0
+            handle.connected = True
         handle.reader = threading.Thread(
             target=self._reader_loop,
-            args=(handle, handle.conn),
+            args=(handle, conn),
             name=f"cluster-reader-{handle.index}",
             daemon=True,
         )
         handle.reader.start()
-
-    def _start_sender(self, handle: _WorkerHandle) -> None:
-        handle.sender = threading.Thread(
-            target=self._sender_loop,
-            args=(handle,),
-            name=f"cluster-sender-{handle.index}",
-            daemon=True,
-        )
-        handle.sender.start()
 
     def _await_hello(self, handle: _WorkerHandle) -> None:
         if not handle.hello.wait(_HELLO_TIMEOUT):
@@ -437,65 +427,6 @@ class ClusterCoordinator:
             return  # superseded by a restart; the new reader owns the handle
         self._on_worker_down(handle)
 
-    def _sender_loop(self, handle: _WorkerHandle) -> None:
-        """Drain the bounded queue into batched ingest frames.
-
-        Honors the credit window (``sent - processed`` never exceeds
-        the queue depth, so worker-side buffering stays bounded) and
-        the ``discard`` flag: while a worker is down its acked entries
-        are simply dropped here -- the ingest WAL owns them and the
-        restart path redelivers everything above the watermark, so
-        discarding can never lose an acked rating, and it is what
-        keeps a full queue from deadlocking the restart.
-        """
-        while True:
-            item = self.queue_get(handle)
-            stop = item is _STOP
-            batch: List[list] = [] if stop else [item]
-            while not stop and len(batch) < GROUP_COMMIT_MAX:
-                try:
-                    extra = handle.queue.get_nowait()
-                except queue.Empty:
-                    break
-                if extra is _STOP:
-                    stop = True
-                    break
-                batch.append(extra)
-            if batch and not handle.discard:
-                try:
-                    self._send_ingest(handle, batch)
-                except (OSError, ValueError):
-                    pass  # worker dropped mid-send; redelivery owns the batch
-            with handle.credit:
-                handle.busy = False
-                handle.credit.notify_all()
-            if stop:
-                return
-
-    def queue_get(self, handle: _WorkerHandle):
-        """Blocking pop that marks the handle busy atomically-enough:
-        the ``busy`` flag is raised before this returns, so drain loops
-        never observe an empty queue while a batch is in flight."""
-        item = handle.queue.get()
-        with handle.credit:
-            handle.busy = True
-        return item
-
-    def _send_ingest(self, handle: _WorkerHandle, batch: List[list]) -> None:
-        with handle.credit:
-            while (
-                not handle.discard
-                and handle.sent - handle.processed + len(batch)
-                > self.config.cluster_queue_depth
-            ):
-                handle.credit.wait(0.1)
-            if handle.discard:
-                return
-        with handle.send_lock:
-            send_msg(handle.conn, {"type": "ingest", "entries": batch})
-        with handle.credit:
-            handle.sent += len(batch)
-
     def _apply_digest(
         self, handle: _WorkerHandle, digest: dict, conn: Connection
     ) -> None:
@@ -518,8 +449,10 @@ class ClusterCoordinator:
             return
         handle.up = False
         self._m_worker_up[handle.index].set(0.0)
+        # Ends any credit wait on this worker: a submit blocked there
+        # holds the route lock that the restart below needs.
         with handle.credit:
-            handle.discard = True
+            handle.connected = False
             handle.credit.notify_all()
         self._fail_rpcs(handle)
         try:
@@ -545,10 +478,10 @@ class ClusterCoordinator:
         """Supervisor: respawn a dead worker and close its ingest gap.
 
         Holding the route lock across the respawn freezes the ingest
-        WAL end, so the redelivery range ``(watermark, end)`` is exact;
-        the discarding sender has already drained (or is draining) the
-        bounded queue, so waiting on it cannot deadlock against a
-        blocked submit.
+        WAL end, so the redelivery range ``(watermark, end)`` is exact.
+        A submit that was waiting for the dead worker's credit has
+        already dropped its frame and released the lock: the
+        connection's drop ends that wait.
         """
         with self._restart_lock:
             logger.warning("cluster worker %d died; restarting", handle.index)
@@ -560,11 +493,7 @@ class ClusterCoordinator:
             if handle.process is not None:
                 handle.process.join(timeout=30)
             with self._route_lock:
-                self._drain_handle(handle)
                 handle.hello.clear()
-                with handle.credit:
-                    handle.sent = 0
-                    handle.processed = 0
                 self._spawn(handle)
                 index, conn = self._accept(timeout=_HELLO_TIMEOUT)
                 if index != handle.index:
@@ -572,14 +501,10 @@ class ClusterCoordinator:
                         f"restart handshake: expected worker {handle.index}, "
                         f"got {index}"
                     )
-                handle.conn = conn
-                self._start_reader(handle)
+                self._start_reader(handle, conn)
                 self._await_hello(handle)
                 self._welcome(handle)
                 self._redeliver(handle)
-                with handle.credit:
-                    handle.discard = False
-                    handle.credit.notify_all()
                 handle.up = True
                 self._m_worker_up[handle.index].set(1.0)
                 logger.warning(
@@ -614,10 +539,10 @@ class ClusterCoordinator:
             batch.append([seq, rating_to_dict(rating)])
             resent += 1
             if len(batch) >= GROUP_COMMIT_MAX:
-                self._send_ingest_direct(handle, batch)
+                self._send_ingest(handle, batch)
                 batch = []
         if batch:
-            self._send_ingest_direct(handle, batch)
+            self._send_ingest(handle, batch)
         if resent:
             logger.info(
                 "cluster worker %d: redelivered %d entries from seq %d",
@@ -626,39 +551,59 @@ class ClusterCoordinator:
                 start,
             )
 
-    def _send_ingest_direct(self, handle: _WorkerHandle, batch: List[list]) -> None:
-        """Redelivery send: same credit window, but never discards."""
-        with handle.credit:
-            while (
-                handle.sent - handle.processed + len(batch)
-                > self.config.cluster_queue_depth
-            ):
-                handle.credit.wait(0.1)
-        with handle.send_lock:
-            send_msg(handle.conn, {"type": "ingest", "entries": batch})
-        with handle.credit:
-            handle.sent += len(batch)
+    def _send_ingest(self, handle: _WorkerHandle, batch: List[list]) -> None:
+        """Send ``batch`` as ingest frames of at most
+        ``cluster_queue_depth`` entries, each once the credit window has
+        room for it.
+
+        The one sender of ingest frames, for live ingest and
+        redelivery alike; both call it under the route lock, so each
+        worker gets its entries in ingest-WAL order.  That order
+        matters: a worker's watermark is the *last* ``g`` it applied
+        (``client_meta.update``), not the highest, so a frame out of
+        order would make redelivery re-apply entries.
+
+        The wait also ends when the connection drops
+        (:meth:`_on_worker_down` notifies ``credit``); the rest of the
+        batch is then dropped, because redelivery owns every acked
+        entry above the restarted worker's watermark.
+        """
+        depth = self.config.cluster_queue_depth
+        for start in range(0, len(batch), depth):
+            frame = batch[start : start + depth]
+            with handle.credit:
+                handle.credit.wait_for(
+                    lambda: not handle.connected
+                    or handle.sent - handle.processed + len(frame) <= depth
+                )
+                if not handle.connected:
+                    return
+                handle.sent += len(frame)
+            try:
+                with handle.send_lock:
+                    send_msg(handle.conn, {"type": "ingest", "entries": frame})
+            except (OSError, ValueError):
+                return  # dropped mid-send; redelivery owns the batch
 
     def _caught_up(self, handle: _WorkerHandle, timeout: float) -> bool:
-        """Block until the worker's queue is empty and every sent entry
-        is confirmed applied, or discarded while the worker is down;
-        False if ``timeout`` seconds pass first.
+        """Block until every entry sent on the live connection is
+        confirmed applied, or the connection has dropped (redelivery
+        owns its entries then); False if ``timeout`` seconds pass first.
 
-        Every transition into that state notifies ``credit``: the
-        ``processed`` frame, the sender clearing ``busy`` after each
-        batch (sent or discarded), and ``discard`` flipping either way.
+        This is all read-your-writes waits for: an acked entry has
+        already been sent.  Both ways into that state notify
+        ``credit``: the ``processed`` frame and
+        :meth:`_on_worker_down`.
         """
         with handle.credit:
             return handle.credit.wait_for(
-                lambda: handle.queue.empty()
-                and not handle.busy
-                and (handle.discard or handle.sent <= handle.processed),
+                lambda: not handle.connected or handle.sent <= handle.processed,
                 timeout,
             )
 
     def _drain_handle(self, handle: _WorkerHandle, timeout: float = 600.0) -> None:
-        """Wait until the worker's queue is empty and all sent entries
-        are confirmed applied (or discarded).  Route lock held."""
+        """Wait until every entry sent to the worker is confirmed
+        applied (or its connection dropped).  Route lock held."""
         if not self._caught_up(handle, timeout):
             raise ReproError(
                 f"cluster worker {handle.index} failed to drain within "
@@ -721,7 +666,7 @@ class ClusterCoordinator:
     # -- ingest ---------------------------------------------------------------
 
     def submit(self, rating: Rating) -> SubmitResult:
-        """Durably log one rating and queue it to its owning worker.
+        """Durably log one rating and send it to its owning worker.
 
         The ack means *durably queued*: the rating is in the ingest WAL,
         handed to the OS before the ack (so a process kill keeps it)
@@ -730,7 +675,7 @@ class ClusterCoordinator:
         Rejection (out-of-order time) happens asynchronously at the
         worker, so an acked rating can still be refused later --
         mirroring any at-least-once ingestion pipeline.  A full worker
-        queue blocks here (backpressure).
+        credit window blocks here (backpressure).
         """
         return self.submit_many([rating])[0]
 
@@ -743,7 +688,9 @@ class ClusterCoordinator:
         """Ingest a batch as :meth:`submit` does; one result per rating.
 
         Each chunk of :data:`GROUP_COMMIT_MAX` ratings is handed to the
-        OS in one write, before its acks.
+        OS in one write and sent as one ingest frame per owning worker
+        (more if its share exceeds ``cluster_queue_depth``), before its
+        acks.
         """
         results: List[SubmitResult] = []
         iterator = iter(ratings)
@@ -752,21 +699,22 @@ class ClusterCoordinator:
             if not chunk:
                 return results
             start = time.perf_counter()
-            seqs = []
-            for position, rating in enumerate(chunk, 1):
+            seqs: List[int] = []
+            frames: Dict[int, List[list]] = {}
+            with self._route_lock:
                 if self._closing:
                     raise ReproError("cluster is shutting down")
-                handle = self._handles[self.ring.owner(rating.product_id)]
-                with self._route_lock:
+                for rating in chunk:
                     seq = self.wal.append(rating)
-                    if position == len(chunk):
-                        # The write goes before the put: the GIL it
-                        # releases would otherwise go to the sender
-                        # thread the put wakes, and the ack would wait
-                        # for that thread's frame.
-                        self.wal.flush()
-                    handle.queue.put([seq, rating_to_dict(rating)])
-                seqs.append(seq)
+                    seqs.append(seq)
+                    frames.setdefault(self.ring.owner(rating.product_id), []).append(
+                        [seq, rating_to_dict(rating)]
+                    )
+                self.wal.flush()
+                # The frames leave under the route lock, so each worker
+                # gets its entries in ingest-WAL order (_send_ingest).
+                for index, batch in frames.items():
+                    self._send_ingest(self._handles[index], batch)
             for seq in seqs:
                 results.append(self._ack(seq))
                 self._m_latency.observe(time.perf_counter() - start)
@@ -787,7 +735,7 @@ class ClusterCoordinator:
 
     def _wait_applied(self, handle: _WorkerHandle, timeout: float = 30.0) -> None:
         """Best-effort read-your-writes: let the worker catch up to the
-        entries already queued before serving the read."""
+        entries already sent before serving the read."""
         self._caught_up(handle, timeout)
 
     def score(self, product_id: int) -> Optional[float]:
@@ -840,7 +788,7 @@ class ClusterCoordinator:
             time.sleep(0.005)
 
     def flush(self, timeout: float = 600.0) -> None:
-        """Drain every queue and flush every worker's pending tallies.
+        """Drain every credit window and flush every worker's pending tallies.
 
         Rides out worker restarts: if a worker dies mid-flush (or was
         already mid-restart when flush was called), waits for the
@@ -934,31 +882,20 @@ class ClusterCoordinator:
         workers = self._worker_entries("storage")
         cold = sum(int(stats.get("cold_ratings", 0)) for stats in workers)
         pending = sum(int(stats.get("pending_ratings", 0)) for stats in workers)
-        segments = self.wal.segments()
-        self._m_wal_segments.set(len(segments))
+        wal = self.wal.describe(gc_enabled=bool(self.config.wal_gc))
+        self._m_wal_segments.set(wal["n_segments"])
         return {
             "backend": self.config.store_backend,
             "cold_ratings": cold,
             "pending_ratings": pending,
             "workers": workers,
-            "wal": {
-                "directory": str(self.wal.directory),
-                "n_entries": self.wal.n_entries,
-                "first_seq": self.wal.first_seq,
-                "n_segments": len(segments),
-                "segment_entries": self.wal.segment_entries,
-                "segments": [
-                    {"start": start, "file": path.name}
-                    for start, path in segments
-                ],
-                "gc_enabled": bool(self.config.wal_gc),
-            },
+            "wal": wal,
         }
 
     def render_metrics(self) -> str:
         """Refresh per-worker gauges and render the Prometheus text."""
         for handle in self._handles:
-            self._m_queue_depth[handle.index].set(handle.queue.qsize())
+            self._m_queue_depth[handle.index].set(handle.sent - handle.processed)
             self._m_worker_up[handle.index].set(1.0 if handle.up else 0.0)
         return self.metrics.render()
 
@@ -1033,10 +970,6 @@ class ClusterCoordinator:
             logger.exception("cluster close: final snapshot failed")
         self._closing = True
         for handle in self._handles:
-            handle.queue.put(_STOP)
-        for handle in self._handles:
-            if handle.sender is not None:
-                handle.sender.join(timeout=30)
             if handle.up:
                 try:
                     self._rpc(handle, "shutdown", timeout=_RPC_TIMEOUT)

@@ -97,8 +97,8 @@ class _WorkerRuntime:
 
         Never blocks on anything but the socket itself: the work deque
         is unbounded in-process, and is bounded in practice by the
-        coordinator's credit window (it stops sending when
-        ``sent - processed`` exceeds the queue depth).
+        coordinator's credit window (it never lets ``sent - processed``
+        exceed ``cluster_queue_depth``).
         """
         while True:
             try:

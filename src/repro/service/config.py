@@ -112,8 +112,9 @@ class ServiceConfig:
             subdirectory, store, and ensemble; the coordinator owns
             the trust manager and the ingest WAL.  Requires
             ``wal_dir``.
-        cluster_queue_depth: bounded per-worker ingest queue; a full
-            queue blocks the coordinator's submit (backpressure)
+        cluster_queue_depth: per-worker credit window: the most acked
+            ratings sent to a worker and not yet reported processed.
+            A submit that would overfill it blocks (backpressure)
             instead of growing memory without bound.
         cluster_ack_fsync_every: fsync the coordinator's ingest WAL
             every N appends -- the ack durability/latency trade.  It

@@ -71,7 +71,6 @@ from repro.service.metrics import MetricsRegistry
 from repro.service.wal import (
     WriteAheadLog,
     latest_snapshot,
-    list_snapshots,
     prune_snapshots,
     read_snapshot,
     replay_wal_meta,
@@ -1035,21 +1034,8 @@ class RatingEngine:
         self._m_store_cold.set(int(stats.get("cold_ratings", 0)))
         wal_info = None
         if self.wal is not None:
-            segments = self.wal.segments()
-            self._m_wal_segments.set(len(segments))
-            wal_info = {
-                "directory": str(self.wal.directory),
-                "n_entries": self.wal.n_entries,
-                "first_seq": self.wal.first_seq,
-                "n_segments": len(segments),
-                "segment_entries": self.wal.segment_entries,
-                "segments": [
-                    {"start": start, "file": path.name}
-                    for start, path in segments
-                ],
-                "n_snapshots": len(list_snapshots(self.wal.directory)),
-                "gc_enabled": bool(self.config.wal_gc),
-            }
+            wal_info = self.wal.describe(gc_enabled=bool(self.config.wal_gc))
+            self._m_wal_segments.set(wal_info["n_segments"])
         return {**stats, "backend": self.config.store_backend, "wal": wal_info}
 
     def close(self) -> None:

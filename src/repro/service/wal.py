@@ -408,6 +408,25 @@ class WriteAheadLog:
                 for start in self._segment_starts
             ]
 
+    def describe(self, gc_enabled: bool) -> dict:
+        """The ``wal`` block of ``/storage``, the same in both engine
+        modes: entry count, segment layout and snapshot count."""
+        with self._lock:
+            count, starts = self._count, list(self._segment_starts)
+        return {
+            "directory": str(self._directory),
+            "n_entries": count,
+            "first_seq": starts[0],
+            "n_segments": len(starts),
+            "segment_entries": self.segment_entries,
+            "segments": [
+                {"start": start, "file": _segment_path(self._directory, start).name}
+                for start in starts
+            ],
+            "n_snapshots": len(list_snapshots(self._directory)),
+            "gc_enabled": gc_enabled,
+        }
+
     # -- writing ----------------------------------------------------------
 
     def append(self, rating: Rating, meta: Optional[dict] = None) -> int:
@@ -572,12 +591,6 @@ class WriteAheadLog:
                 if self._on_rotate is not None:
                     self._on_rotate(len(self._segment_starts))
         return removed
-
-    # -- reading ----------------------------------------------------------
-
-    def replay(self, start: int = 0) -> Iterator[Tuple[int, Rating]]:
-        """Yield ``(seq, rating)`` for entries on disk with ``seq >= start``."""
-        return replay_wal(self._directory, start=start)
 
 
 def replay_wal(path: PathLike, start: int = 0) -> Iterator[Tuple[int, Rating]]:

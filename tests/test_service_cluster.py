@@ -9,6 +9,7 @@ an uninterrupted run.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 import os
@@ -17,6 +18,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import urllib.request
 from types import SimpleNamespace
@@ -28,6 +30,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.ratings.models import Rating
 from repro.service.cluster import ClusterCoordinator, ConsistentHashRing
+from repro.service.cluster import coordinator as coordinator_module
 from repro.service.cluster.framing import recv_msg, send_msg
 from repro.service.config import ServiceConfig
 from repro.service.engine import RatingEngine
@@ -732,6 +735,142 @@ class TestCoordinatorProcessKill:
 
 
 @pytest.mark.slow
+class TestIngestFrames:
+    def test_frames_leave_in_wal_order(self, tmp_path, monkeypatch):
+        """Eight threads submit at once to two workers.  Each worker's
+        ingest frames must carry strictly increasing ``g`` (its
+        watermark is the last ``g`` it applied, so a frame out of order
+        would make redelivery re-apply entries) and exactly the acked
+        seqs it owns."""
+        sent = []  # (conn, [g, ...]) in wire order: recorded under send_lock
+
+        def spy(conn, msg):
+            if msg["type"] == "ingest":
+                sent.append((conn, [g for g, _ in msg["entries"]]))
+            send_msg(conn, msg)
+
+        monkeypatch.setattr(coordinator_module, "send_msg", spy)
+        stream = make_stream(n=480, n_products=12)
+        parts = [stream[i::8] for i in range(8)]
+        acked = []  # (seq, product_id)
+        barrier = threading.Barrier(len(parts))
+        cluster = ClusterCoordinator(cluster_config(tmp_path, workers=2))
+
+        def feed(index):
+            ratings = parts[index]
+            barrier.wait()
+            if index % 2:
+                results = [cluster.submit(rating) for rating in ratings]
+            else:  # multi-entry frames, one per owning worker per chunk
+                results = []
+                for start in range(0, len(ratings), 20):
+                    results += cluster.submit_many(ratings[start : start + 20])
+            acked.extend(
+                (result.seq, rating.product_id)
+                for result, rating in zip(results, ratings)
+            )
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the submitting threads
+        try:
+            threads = [
+                threading.Thread(target=feed, args=(i,)) for i in range(len(parts))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(switch_interval)
+            cluster.close()
+        assert sorted(seq for seq, _ in acked) == list(range(len(stream)))
+        for handle in cluster._handles:
+            gs = [g for conn, frame in sent if conn is handle.conn for g in frame]
+            assert all(a < b for a, b in zip(gs, gs[1:])), handle.index
+            owned = {
+                seq
+                for seq, product_id in acked
+                if cluster.ring.owner(product_id) == handle.index
+            }
+            assert owned and set(gs) == owned
+
+
+@pytest.mark.slow
+class TestBackpressure:
+    def test_full_window_blocks_and_survives_a_worker_kill(self, tmp_path):
+        """With ``cluster_queue_depth=8`` and the worker SIGSTOPped, a
+        submit blocks once 8 entries are in flight.  SIGKILLing the
+        worker must release it (no deadlock with the restart), and
+        redelivery must bring the restarted worker every acked entry:
+        after ``flush()`` the cluster equals an uninterrupted run."""
+        stream = make_stream(n=120)
+        prefix, depth = 60, 8
+
+        def run(wal_dir, stall=False):
+            cluster = ClusterCoordinator(
+                cluster_config(
+                    wal_dir,
+                    workers=1,
+                    batch_max_ratings=10_000,
+                    cluster_queue_depth=depth,
+                )
+            )
+            handle = cluster._handles[0]
+            pid = handle.process.pid
+            acked = []
+
+            def feed():
+                for rating in stream[prefix:]:
+                    acked.append(cluster.submit(rating).seq)
+
+            feeder = threading.Thread(target=feed, daemon=True)
+            try:
+                for rating in stream[:prefix]:
+                    cluster.submit(rating)
+                cluster.flush()  # every sent entry is processed
+                if stall:
+                    os.kill(pid, signal.SIGSTOP)
+                feeder.start()
+                if stall:
+                    deadline = time.monotonic() + 30
+                    while len(acked) < depth and time.monotonic() < deadline:
+                        time.sleep(0.01)
+                    time.sleep(0.3)
+                    assert len(acked) == depth and feeder.is_alive()
+                    assert handle.sent - handle.processed == depth
+                    # The blocked rating is logged, but not acked.
+                    assert cluster.n_accepted == prefix + depth + 1
+                    os.kill(pid, signal.SIGKILL)
+                feeder.join(60)
+                assert not feeder.is_alive(), "blocked submit never returned"
+                assert acked == list(range(prefix, len(stream)))
+                cluster.flush()
+                if stall:
+                    assert handle.process.pid != pid  # restarted
+                worker = cluster.snapshot_stats()["workers"][0]
+                assert worker["n_ratings"] + worker["n_rejected"] == len(stream)
+                return {
+                    "trust": cluster.trust_table(),
+                    "suspicion": cluster.suspicion_table(),
+                    "malicious": cluster.detected_malicious(),
+                    "scores": {p: cluster.score(p) for p in range(6)},
+                    "n_accepted": cluster.n_accepted,
+                }
+            finally:
+                if stall and handle.process.pid == pid:  # never leave it stopped
+                    with contextlib.suppress(ProcessLookupError):
+                        os.kill(pid, signal.SIGKILL)
+                if feeder.is_alive():  # deadlocked: close() would hang too
+                    cluster._teardown_transport()
+                else:
+                    cluster.close()
+
+        reference = run(tmp_path / "reference")
+        assert run(tmp_path / "stalled", stall=True) == reference
+
+
+@pytest.mark.slow
 def test_both_tiers_describe_shared_families_identically(tmp_path):
     """The engine and the coordinator render the same # HELP / # TYPE
     lines for every family in the shared catalog."""
@@ -797,6 +936,22 @@ class TestClusterHTTP:
         assert 'repro_ingest_queue_depth{worker="0"}' in text
         assert "repro_ingest_latency_seconds" in text
         assert "repro_ratings_accepted_total 1" in text
+
+    def test_storage_describes_the_wal_as_the_engine_does(
+        self, cluster_server, tmp_path
+    ):
+        """``/storage`` has the same ``wal`` keys in both modes."""
+        cluster, base = cluster_server
+        cluster.snapshot()
+        with urllib.request.urlopen(f"{base}/storage") as response:
+            wal = json.loads(response.read())["wal"]
+        engine = RatingEngine(ServiceConfig(wal_dir=str(tmp_path / "engine")))
+        try:
+            assert list(wal) == list(engine.storage_stats()["wal"])
+        finally:
+            engine.close()
+        assert wal["n_snapshots"] == 1
+        assert wal["directory"] == str(tmp_path / "coordinator")
 
     def test_score_after_ack_sees_the_rating(self, cluster_server):
         cluster, base = cluster_server
