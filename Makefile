@@ -16,6 +16,9 @@ DURABILITY_TESTS = \
 	tests/test_service_cluster.py::TestPowerLoss \
 	tests/test_service_cluster.py::TestCoordinatorProcessKill \
 	tests/test_service_cluster.py::TestBackpressure \
+	tests/test_service_cluster.py::TestScoreView::test_rpc_overtaken_by_an_ack_is_not_kept \
+	tests/test_service_cluster.py::TestScoreView::test_drop_follows_the_frame_send \
+	tests/test_service_cluster.py::TestScoreView::test_restarted_worker_answers_from_its_new_state \
 	tests/test_service_cluster.py::test_serve_sigterm_drains_cluster \
 	tests/test_service_recovery_crash.py \
 	tests/test_service_wal.py::TestWriteAheadLog::test_worker_flush_fsyncs_a_chunk_once \

@@ -27,6 +27,11 @@ in ``welcome``).  Digests carry the worker's deterministic flush
 counter, so redelivered digests after a crash are recognized and
 skipped while the reply still refreshes the worker's read mirror.
 
+**Score reads** are answered from a per-worker view of the scores
+that worker has answered; only a miss costs an rpc.  Each change that
+can alter a worker's answer first drops the view at the coordinator
+(see :meth:`ClusterCoordinator.score`).
+
 **Failure model**: every acked rating is in the ingest WAL.  Workers
 log each applied entry's coordinator sequence number as its WAL meta
 (snapshots keep the highest in ``client_meta``), and report that
@@ -105,6 +110,7 @@ __effect_contracts__ = {
 
 _HELLO_TIMEOUT = 300.0
 _RPC_TIMEOUT = 120.0
+_MISSING = object()  # a score-view miss (None is a valid score)
 
 
 class _WorkerHandle:
@@ -112,10 +118,13 @@ class _WorkerHandle:
 
     The credit window (``sent``/``processed``/``connected``) is guarded
     by the ``credit`` condition: at most ``cluster_queue_depth``
-    entries are sent but not yet reported processed.  The rest is
-    mutated only under the route/restart locks or before the worker is
-    visible.
+    entries are sent but not yet reported processed.  The score view
+    (``_view``/``_generation``) is guarded by the leaf lock
+    ``_view_lock``.  The rest is mutated only under the route/restart
+    locks or before the worker is visible.
     """
+
+    _GUARDED_BY = {"_view": "_view_lock", "_generation": "_view_lock"}
 
     def __init__(self, index: int) -> None:
         self.index = index
@@ -130,6 +139,38 @@ class _WorkerHandle:
         self.hello = threading.Event()
         self.up = False
         self.reader: Optional[threading.Thread] = None
+        # The scores this worker answered, kept so a repeat read skips
+        # the rpc.  Every drop bumps the generation, and an answer is
+        # kept only if no drop happened while its rpc was out.
+        self._view_lock = threading.Lock()
+        self._view: Dict[int, Optional[float]] = {}
+        self._generation = 0
+
+    def lookup(self, product_id: int) -> tuple:
+        """``(hit, value, generation)``; pass the generation of a miss
+        to :meth:`remember` with the rpc's answer."""
+        with self._view_lock:
+            value = self._view.get(product_id, _MISSING)
+            return value is not _MISSING, value, self._generation
+
+    def remember(
+        self, product_id: int, value: Optional[float], generation: int
+    ) -> None:
+        """Keep an rpc's answer, unless a drop happened since ``lookup``
+        returned ``generation``: the answer may predate that change."""
+        with self._view_lock:
+            if generation == self._generation:
+                self._view[product_id] = value
+
+    def forget(self, product_ids=None) -> None:
+        """Drop the answers for ``product_ids`` (every answer when None)."""
+        with self._view_lock:
+            if product_ids is None:
+                self._view.clear()
+            else:
+                for product_id in product_ids:
+                    self._view.pop(product_id, None)
+            self._generation += 1
 
 
 class ClusterCoordinator:
@@ -178,13 +219,16 @@ class ClusterCoordinator:
         # Help texts come from metrics.SHARED_FAMILIES.  Acks and the
         # ingest WAL are the coordinator's own; rejections, refits and
         # flags mirror worker totals; trust updates count applied
-        # worker digests.
+        # worker digests; score-cache hits and misses are the score
+        # view's.
         self._m_latency = m.histogram("repro_ingest_latency_seconds")
         self._m_accepted = m.counter("repro_ratings_accepted_total")
         self._m_rejected = m.counter("repro_ratings_rejected_total")
         self._m_refits = m.counter("repro_ar_refits_total")
         self._m_flagged = m.counter("repro_windows_flagged_total")
         self._m_trust_updates = m.counter("repro_trust_updates_total")
+        self._m_score_hits = m.counter("repro_score_cache_hits_total")
+        self._m_score_misses = m.counter("repro_score_cache_misses_total")
         self._m_fsync = m.histogram("repro_wal_fsync_seconds")
         self._m_wal_segments = m.gauge("repro_wal_segments")
         self._m_queue_depth = [
@@ -372,6 +416,9 @@ class ClusterCoordinator:
         """Push the full trust table so a recovered worker's read
         mirror is warm before it serves a single score."""
         table = self._ledger.welcome(handle.index)
+        # The table replaces the worker's mirror: clear its score view
+        # before the send.
+        handle.forget()
         with handle.send_lock:
             send_msg(handle.conn, {"type": "welcome", "table": table})
 
@@ -439,6 +486,10 @@ class ClusterCoordinator:
         new, changed = self._ledger.apply(digest, handle.index)
         if new:
             self._m_trust_updates.inc()
+        # The reply is the only thing that changes the worker's mirror,
+        # so its score view is cleared before the reply leaves; a read
+        # whose rpc the worker answers before merging it is not kept.
+        handle.forget()
         with handle.send_lock:
             send_msg(conn, {"type": "trust", "changed": changed})
 
@@ -449,6 +500,9 @@ class ClusterCoordinator:
             return
         handle.up = False
         self._m_worker_up[handle.index].set(0.0)
+        # A restarted worker answers from recovered state and a fresh
+        # welcome table: nothing the old process answered is kept.
+        handle.forget()
         # Ends any credit wait on this worker: a submit blocked there
         # holds the route lock that the restart below needs.
         with handle.credit:
@@ -567,23 +621,33 @@ class ClusterCoordinator:
         (:meth:`_on_worker_down` notifies ``credit``); the rest of the
         batch is then dropped, because redelivery owns every acked
         entry above the restarted worker's watermark.
+
+        The batch's products leave the worker's score view *after* the
+        send and before the caller acks: an rpc sent after the drop
+        follows the frame, so the worker answers it with the batch
+        applied; with the drop first, one could overtake the frame.
+        The drop runs on every way out, since the caller acks a batch
+        whose send a dropped connection cut short.
         """
         depth = self.config.cluster_queue_depth
-        for start in range(0, len(batch), depth):
-            frame = batch[start : start + depth]
-            with handle.credit:
-                handle.credit.wait_for(
-                    lambda: not handle.connected
-                    or handle.sent - handle.processed + len(frame) <= depth
-                )
-                if not handle.connected:
-                    return
-                handle.sent += len(frame)
-            try:
-                with handle.send_lock:
-                    send_msg(handle.conn, {"type": "ingest", "entries": frame})
-            except (OSError, ValueError):
-                return  # dropped mid-send; redelivery owns the batch
+        try:
+            for start in range(0, len(batch), depth):
+                frame = batch[start : start + depth]
+                with handle.credit:
+                    handle.credit.wait_for(
+                        lambda: not handle.connected
+                        or handle.sent - handle.processed + len(frame) <= depth
+                    )
+                    if not handle.connected:
+                        return
+                    handle.sent += len(frame)
+                try:
+                    with handle.send_lock:
+                        send_msg(handle.conn, {"type": "ingest", "entries": frame})
+                except (OSError, ValueError):
+                    return  # dropped mid-send; redelivery owns the batch
+        finally:
+            handle.forget(row["product_id"] for _, row in batch)
 
     def _caught_up(self, handle: _WorkerHandle, timeout: float) -> bool:
         """Block until every entry sent on the live connection is
@@ -743,10 +807,23 @@ class ClusterCoordinator:
 
         Waits (bounded) for the worker to apply already-acked entries
         first, so a score read right after an ack sees the rating.
+        Then answers from the worker's score view when it holds the
+        product, else asks the worker and keeps its answer.
         """
+        product_id = int(product_id)
         handle = self._owner_handle(product_id)
+        # The window wait comes before the lookup: an acked entry's
+        # flush, if it triggers one, then has had its trust reply --
+        # which clears the view -- so a hit is what the rpc would say.
         self._wait_applied(handle)
-        return self._rpc(handle, "score", product_id=int(product_id))["value"]
+        hit, value, generation = handle.lookup(product_id)
+        if hit:
+            self._m_score_hits.inc()
+            return value
+        self._m_score_misses.inc()
+        value = self._rpc(handle, "score", product_id=product_id)["value"]
+        handle.remember(product_id, value, generation)
+        return value
 
     def has_product(self, product_id: int) -> bool:
         """True when the owning worker has seen the product."""

@@ -265,14 +265,8 @@ class RatingEngine:
         self._m_refits = m.counter("repro_ar_refits_total")
         self._m_flagged = m.counter("repro_windows_flagged_total")
         self._m_trust_updates = m.counter("repro_trust_updates_total")
-        self._m_score_hits = m.counter(
-            "repro_score_cache_hits_total",
-            "score() calls answered from the incremental aggregate cache.",
-        )
-        self._m_score_misses = m.counter(
-            "repro_score_cache_misses_total",
-            "score() calls that re-aggregated the product's ratings.",
-        )
+        self._m_score_hits = m.counter("repro_score_cache_hits_total")
+        self._m_score_misses = m.counter("repro_score_cache_misses_total")
         self._m_fsync = m.histogram("repro_wal_fsync_seconds")
         self._m_wal_segments = m.gauge("repro_wal_segments")
         self._m_store_cold = m.gauge(

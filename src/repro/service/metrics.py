@@ -34,8 +34,9 @@ DEFAULT_BUCKETS = (
 #: the cluster coordinator -- declared once so the two ``/metrics``
 #: pages describe them identically.  name -> (type, help text); the
 #: registry supplies the help text and rejects any other type.  A
-#: coordinator times its own ingest WAL and mirrors worker totals into
-#: the counters it cannot observe directly.
+#: coordinator times its own ingest WAL, counts its own score-view
+#: hits and misses, and mirrors worker totals into the counters it
+#: cannot observe directly.
 SHARED_FAMILIES: Dict[str, Tuple[str, str]] = {
     "repro_ingest_latency_seconds": (
         "histogram", "Wall time spent per submit() call."
@@ -50,6 +51,16 @@ SHARED_FAMILIES: Dict[str, Tuple[str, str]] = {
     ),
     "repro_trust_updates_total": (
         "counter", "Trust manager flushes (Procedure 2 runs)."
+    ),
+    "repro_score_cache_hits_total": (
+        "counter",
+        "score() calls answered from a cache (the engine's per-product "
+        "aggregates, or the coordinator's view of worker answers).",
+    ),
+    "repro_score_cache_misses_total": (
+        "counter",
+        "score() calls no cache answered (re-aggregated in process, or "
+        "asked of the owning worker).",
     ),
     "repro_wal_fsync_seconds": ("histogram", "Duration of WAL fsync calls."),
     "repro_wal_segments": ("gauge", "WAL segment files currently on disk."),

@@ -711,7 +711,10 @@ def write_snapshot(directory: PathLike, state: dict) -> Path:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"snapshot state needs a wal_position: {exc}") from exc
     final = _snapshot_path(directory, wal_position)
-    tmp = final.with_suffix(".json.tmp")
+    # A temp file per writer: two automatic snapshots can capture the
+    # same WAL position and write at once, and with one shared temp
+    # path the first rename would take the second writer's file.
+    tmp = final.with_suffix(f".{threading.get_ident()}.json.tmp")
     with tmp.open("w", encoding="utf-8") as handle:
         json.dump(state, handle, separators=(",", ":"))
         handle.flush()

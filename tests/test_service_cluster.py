@@ -10,6 +10,7 @@ an uninterrupted run.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import multiprocessing
 import os
@@ -20,6 +21,7 @@ import sys
 import tempfile
 import threading
 import time
+import urllib.error
 import urllib.request
 from types import SimpleNamespace
 
@@ -27,7 +29,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, UnknownProductError
 from repro.ratings.models import Rating
 from repro.service.cluster import ClusterCoordinator, ConsistentHashRing
 from repro.service.cluster import coordinator as coordinator_module
@@ -870,6 +872,289 @@ class TestBackpressure:
         assert run(tmp_path / "stalled", stall=True) == reference
 
 
+def _rating(rating_id, rater_id, product_id, value, time):
+    return Rating(
+        rating_id=rating_id,
+        rater_id=rater_id,
+        product_id=product_id,
+        value=value,
+        time=time,
+    )
+
+
+def _answer(read, product_id):
+    """``read(product_id)``, with an unknown product as a value."""
+    try:
+        return read(product_id)
+    except UnknownProductError:
+        return "unknown"
+
+
+def _fresh_score(cluster, product_id):
+    """The owning worker's answer now, bypassing the score view."""
+    handle = cluster._owner_handle(product_id)
+    return _answer(
+        lambda p: cluster._rpc(handle, "score", product_id=p)["value"], product_id
+    )
+
+
+def _wait_stopped(pid, timeout=10.0):
+    """Block until ``pid`` is in the stopped state after a SIGSTOP."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        with open(f"/proc/{pid}/stat") as stat:
+            if stat.read().rsplit(")", 1)[1].split()[0] == "T":
+                return
+        time.sleep(0.005)
+    raise AssertionError(f"process {pid} did not stop")
+
+
+_VALUES = st.sampled_from([0.0, 0.2, 0.5, 0.7, 1.0])
+_VIEW_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("submit"),
+            st.integers(0, 7),
+            st.integers(0, 5),
+            _VALUES,
+        ),
+        st.tuples(
+            st.just("submit_many"),
+            st.lists(
+                st.tuples(st.integers(0, 7), st.integers(0, 5), _VALUES),
+                min_size=1,
+                max_size=12,
+            ),
+        ),
+        st.tuples(st.just("flush")),
+        st.tuples(st.just("snapshot")),
+        st.tuples(st.just("read"), st.integers(0, 7)),
+        st.tuples(st.just("read"), st.integers(0, 7)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@pytest.mark.slow
+class TestScoreView:
+    """The coordinator answers repeat score reads from its per-worker
+    view; every answer must still be the worker's own, now."""
+
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    # Rater 0 rates five products and rater 1 one, so the sixth rating's
+    # cadence flush moves product 0's score (0.5 -> 0.318) without an
+    # ingest to it: only the digest's drop, read after the window wait,
+    # keeps the next read right.
+    @example(
+        workers=1,
+        ops=[
+            ("submit_many", [(0, 0, 0.0), (0, 1, 1.0), (1, 0, 0.2), (2, 0, 0.5), (3, 0, 0.7)]),
+            ("read", 0),
+            ("submit", 4, 0, 0.9),
+            ("read", 0),
+            ("read", 0),
+            ("flush",),
+            ("read", 0),
+            ("read", 9),
+        ],
+    )
+    @example(
+        workers=2,
+        ops=[
+            ("submit_many", [(0, 0, 0.0), (0, 0, 0.1), (0, 1, 1.0), (5, 2, 0.3), (6, 3, 0.4)]),
+            ("read", 0),
+            ("read", 5),
+            ("flush",),
+            ("read", 0),
+            ("read", 5),
+            ("submit", 0, 3, 1.0),
+            ("read", 0),
+            ("read", 0),
+            ("snapshot",),
+            ("read", 6),
+            ("read", 9),
+        ],
+    )
+    @given(workers=st.sampled_from([1, 2]), ops=_VIEW_OPS)
+    def test_every_read_equals_a_fresh_rpc(self, workers, ops):
+        """Random submits, batches, flushes (explicit and every 6
+        ratings), snapshots and reads: after each read, ``score(p)``
+        equals the owning worker's answer to a cache-bypassing rpc, and
+        on one worker also the in-process engine's on the same ops."""
+        reference = (
+            RatingEngine(
+                ServiceConfig(batch_max_ratings=6, detector_window=16, detector_stride=8)
+            )
+            if workers == 1
+            else None
+        )
+        ids = itertools.count()
+        with tempfile.TemporaryDirectory() as scratch:
+            cluster = ClusterCoordinator(
+                cluster_config(scratch, workers=workers, batch_max_ratings=6)
+            )
+            engines = [cluster] + ([reference] if reference is not None else [])
+            try:
+                for op in ops:
+                    kind = op[0]
+                    if kind in ("submit", "submit_many"):
+                        rows = [op[1:]] if kind == "submit" else op[1]
+                        batch = []
+                        for product_id, rater_id, value in rows:
+                            n = next(ids)
+                            batch.append(_rating(n, rater_id, product_id, value, n))
+                        for engine in engines:
+                            if kind == "submit":
+                                engine.submit(batch[0])
+                            else:
+                                engine.submit_many(batch)
+                    elif kind == "flush":
+                        for engine in engines:
+                            engine.flush()
+                    elif kind == "snapshot":
+                        cluster.snapshot()  # its phase 1 flushes every worker
+                        if reference is not None:
+                            reference.flush()
+                    else:
+                        product_id = op[1]
+                        served = _answer(cluster.score, product_id)
+                        assert served == _fresh_score(cluster, product_id)
+                        if reference is not None:
+                            assert served == _answer(reference.score, product_id)
+            finally:
+                cluster.close()
+
+    def test_rpc_overtaken_by_an_ack_is_not_kept(self, tmp_path):
+        """A score rpc goes out, the worker stops, a POST to the same
+        product is acked, and the worker resumes: the rpc's answer
+        predates the rating, so it must not be kept, and the next read
+        must include the rating."""
+        cluster = ClusterCoordinator(
+            cluster_config(tmp_path, workers=1, batch_max_ratings=10_000)
+        )
+        server, _ = start_background(cluster)
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+        handle = cluster._handles[0]
+        pid = handle.process.pid
+        product_id = 3
+        try:
+            cluster.submit(_rating(0, 1, product_id, 0.2, 1.0))
+            cluster._wait_applied(handle)  # the read below waits for nothing
+            os.kill(pid, signal.SIGSTOP)
+            _wait_stopped(pid)
+            early = {}
+            reader = threading.Thread(
+                target=lambda: early.update(value=cluster.score(product_id))
+            )
+            reader.start()
+            deadline = time.monotonic() + 10
+            while not cluster._rpcs and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert cluster._rpcs, "the score rpc never left"
+            body = json.dumps(
+                {"rater_id": 2, "product_id": product_id, "value": 0.8, "time": 2.0}
+            ).encode()
+            request = urllib.request.Request(f"{base}/ratings", data=body, method="POST")
+            with urllib.request.urlopen(request, timeout=10) as response:
+                assert response.status == 202
+            os.kill(pid, signal.SIGCONT)
+            reader.join(30)
+            assert not reader.is_alive()
+            assert early["value"] == 0.2  # answered before the rating arrived
+            assert cluster.score(product_id) == pytest.approx(0.5)
+            assert cluster.score(product_id) == _fresh_score(cluster, product_id)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGCONT)
+            server.shutdown()
+            server.server_close()
+            cluster.close()
+
+    def test_drop_follows_the_frame_send(self, tmp_path):
+        """A read that passed its window wait before a submit took the
+        frame's credit, and looks the product up while the frame waits
+        to be sent, must not leave a pre-rating answer in the view."""
+        cluster = ClusterCoordinator(
+            cluster_config(tmp_path, workers=1, batch_max_ratings=10_000)
+        )
+        handle = cluster._handles[0]
+        product_id = 3
+        at_send, release = threading.Event(), threading.Event()
+        send_lock = handle.send_lock
+
+        class GatedLock:
+            """The submitting thread stops at the frame's send lock."""
+
+            def __enter__(self):
+                if threading.current_thread().name == "submitter":
+                    at_send.set()
+                    release.wait(30)
+                send_lock.acquire()
+
+            def __exit__(self, *exc_info):
+                send_lock.release()
+
+        try:
+            cluster.submit(_rating(0, 1, product_id, 0.2, 1.0))
+            assert cluster.score(product_id) == 0.2
+            handle.send_lock = GatedLock()
+            submitter = threading.Thread(
+                target=cluster.submit,
+                args=(_rating(1, 2, product_id, 0.8, 2.0),),
+                name="submitter",
+            )
+            submitter.start()
+            assert at_send.wait(30)
+            cluster._wait_applied = lambda handle, timeout=30.0: None
+            try:
+                # Not acked yet: the old answer is still the right one.
+                assert cluster.score(product_id) == 0.2
+            finally:
+                del cluster._wait_applied
+            release.set()
+            submitter.join(30)
+            assert not submitter.is_alive()
+            assert cluster.score(product_id) == pytest.approx(0.5)
+            assert cluster.score(product_id) == _fresh_score(cluster, product_id)
+        finally:
+            release.set()
+            handle.send_lock = send_lock
+            cluster.close()
+
+    def test_restarted_worker_answers_from_its_new_state(self, tmp_path):
+        """Worker 0's mirror lags worker 1's last digest until its next
+        reply; a SIGKILL and restart welcomes it with the full table.
+        Every read after the restart must equal a fresh rpc, and some
+        must differ from the answers the view held before the kill."""
+        cluster = ClusterCoordinator(
+            cluster_config(tmp_path, workers=2, batch_max_ratings=10_000)
+        )
+        handle = cluster._handles[0]
+        pid = handle.process.pid
+        try:
+            cluster.submit_many(make_stream(n=200, n_products=8))
+            cluster.flush()  # worker 0 first, then worker 1's changes
+            cluster.snapshot()  # a recovery replays no digest
+            owned = [p for p in range(8) if cluster.ring.owner(p) == 0]
+            assert owned
+            before = {p: cluster.score(p) for p in owned}
+            os.kill(pid, signal.SIGKILL)
+            deadline = time.monotonic() + 120
+            while not (handle.up and handle.process.pid != pid):
+                assert time.monotonic() < deadline, "worker 0 never restarted"
+                time.sleep(0.01)
+            after = {p: cluster.score(p) for p in owned}
+            assert after == {p: _fresh_score(cluster, p) for p in owned}
+            assert after != before
+        finally:
+            cluster.close()
+
+
 @pytest.mark.slow
 def test_both_tiers_describe_shared_families_identically(tmp_path):
     """The engine and the coordinator render the same # HELP / # TYPE
@@ -936,6 +1221,33 @@ class TestClusterHTTP:
         assert 'repro_ingest_queue_depth{worker="0"}' in text
         assert "repro_ingest_latency_seconds" in text
         assert "repro_ratings_accepted_total 1" in text
+
+    def test_metrics_count_every_score_read_once(self, cluster_server):
+        """``/metrics`` shows the coordinator's score-view hits and
+        misses, and every ``score()`` call is exactly one of them (an
+        unknown product is a miss: the worker answers it)."""
+        cluster, base = cluster_server
+        for n in range(6):
+            cluster.submit(_rating(n, n, n % 3, 0.5, float(n)))
+        reads = [0, 1, 0, 0, 2, 1, 2, 42]
+        for product_id in reads:
+            try:
+                with urllib.request.urlopen(f"{base}/products/{product_id}/score"):
+                    pass
+            except urllib.error.HTTPError as error:
+                assert (product_id, error.code) == (42, 404)
+        with urllib.request.urlopen(f"{base}/metrics") as response:
+            text = response.read().decode()
+        samples = {
+            name: float(value)
+            for name, value in (
+                line.split() for line in text.splitlines() if line[:1] != "#"
+            )
+        }
+        hits = samples["repro_score_cache_hits_total"]
+        misses = samples["repro_score_cache_misses_total"]
+        assert hits + misses == len(reads)
+        assert (hits, misses) == (4, 4)
 
     def test_storage_describes_the_wal_as_the_engine_does(
         self, cluster_server, tmp_path

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import threading
 from dataclasses import asdict
 from pathlib import Path
 
@@ -363,6 +364,43 @@ class TestSnapshots:
         path = write_snapshot(tmp_path, state)
         assert path.name == "snapshot-000000000042.json"
         assert read_snapshot(path) == state
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_concurrent_writers_of_one_position_both_land(
+        self, tmp_path, monkeypatch
+    ):
+        """Two automatic snapshots can capture the same WAL position and
+        write at once: the first writer stalls mid-dump while the second
+        writes and renames, and both must still land the file."""
+        started, release = threading.Event(), threading.Event()
+        dump = json.dump
+
+        def stalling_dump(obj, fp, **kwargs):
+            if threading.current_thread().name == "first-writer":
+                started.set()
+                release.wait(10)
+            dump(obj, fp, **kwargs)
+
+        monkeypatch.setattr(json, "dump", stalling_dump)
+        state = {"wal_position": 7, "payload": [1, 2, 3]}
+        errors = []
+
+        def write():
+            try:
+                write_snapshot(tmp_path, state)
+            except OSError as exc:
+                errors.append(exc)
+
+        first = threading.Thread(target=write, name="first-writer")
+        first.start()
+        try:
+            assert started.wait(10)
+            write_snapshot(tmp_path, state)
+        finally:
+            release.set()
+            first.join(10)
+        assert errors == []
+        assert read_snapshot(tmp_path / "snapshot-000000000007.json") == state
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_latest_picks_highest_position(self, tmp_path):
