@@ -40,10 +40,11 @@ log each applied entry's coordinator sequence number as its WAL meta
 worker death therefore costs a restart + bounded replay, never an
 acked rating: the supervisor restarts the process, the worker recovers
 its engine from its own WAL, and redelivery closes the gap.  A worker
-fsyncs its log once per ingest frame (a group commit) and reports the
-frame ``processed`` only after that fsync, so a power loss takes at
-most the one frame it had not yet reported, and redelivery restores
-that frame too.
+fsyncs its log once per group commit (an ingest frame and the ingest
+frames queued behind it) and reports the group ``processed`` only
+after that fsync, so a power loss takes at most the open group's
+frames -- within the credit window, none of them reported -- and
+redelivery restores them too.
 
 **Snapshots** are a two-phase, cluster-wide protocol (see
 :meth:`snapshot`): pause ingest, drain, have every worker flush
@@ -577,7 +578,7 @@ class ClusterCoordinator:
         are re-applied idempotently: rejected ones reject again
         deterministically, and accepted ones were lost with the WAL
         tail they would have occupied -- after a power loss, at most
-        the one ingest frame whose group commit had not yet synced,
+        the frames of the one group commit that had not yet synced,
         which the worker had therefore not reported ``processed``.
         """
         self.wal.sync()

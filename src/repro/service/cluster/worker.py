@@ -27,17 +27,25 @@ restart, which is what makes supervision simple):
    worker would serve scores from an empty mirror until its next
    flush) and then redelivers every owned ingest-WAL entry above the
    watermark;
-5. run the frame loop: apply each ``ingest`` frame through
-   ``engine.submit`` inside one :meth:`RatingEngine.group_commit`
-   (passing each entry's coordinator seq as its ``wal_meta``, which
-   the engine also merges into ``client_meta``, rejected entries
-   included), answer ``rpc`` frames, and report cumulative
-   ``processed`` counts for the coordinator's credit-based
-   backpressure window.  The frame's WAL rows are fsynced once, when
-   its group closes, and ``processed`` is sent only after that; a
-   trust digest leaving mid-frame syncs the rows before it first.  A
-   power loss can therefore take at most the frame not yet reported,
-   which redelivery above the watermark restores.
+5. run the frame loop.  An ``ingest`` frame is applied, together
+   with every ingest frame already queued behind it when the group
+   opens (up to the first other frame), inside one
+   :meth:`RatingEngine.group_commit`: each entry goes through
+   ``engine.submit`` with its coordinator seq as its ``wal_meta``,
+   which the engine also merges into ``client_meta``, rejected
+   entries included.  The group's WAL rows are fsynced once, when it
+   closes; its trust digests leave after that fsync, and one
+   cumulative ``processed`` count (the coordinator's credit-based
+   backpressure window) after them.  A power loss can therefore take
+   at most the open group's frames -- at most ``--queue-depth``
+   entries, none of them reported -- which redelivery above the
+   watermark restores.  A digest is a one-way send: its ``trust``
+   reply is merged into the engine's mirror later, in order --
+   without waiting after each group, and waiting for every
+   outstanding one before an ``rpc`` frame is answered and again
+   before its reply leaves, so every read sees the trusts of the
+   digests sent before it, and a ``flush`` or ``shutdown`` is answered
+   after its own digest's reply.
 
 A dropped coordinator connection is treated as a crash of the pair:
 the worker syncs what it has and exits; recovery truth lives in the
@@ -53,7 +61,7 @@ import threading
 import traceback
 from multiprocessing.connection import Client, Connection
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.errors import UnknownProductError
 from repro.ratings.models import Rating
@@ -78,13 +86,14 @@ class _WorkerRuntime:
         self.conn = conn
         self.engine: Optional[RatingEngine] = None
         self._send_lock = threading.Lock()
-        # Replies to synchronous sends (digest -> trust, hello ->
-        # welcome) bypass the work queue so the engine can block on
-        # them mid-flush while ingest frames keep queueing behind.
+        # Replies (digest -> trust, hello -> welcome) bypass the work
+        # queue so the engine thread can wait for them while ingest
+        # frames keep queueing behind.
         self._control: "queue.Queue[dict]" = queue.Queue()
         self._work: "collections.deque[dict]" = collections.deque()
         self._work_ready = threading.Condition()
         self._processed = 0  # cumulative ingest entries applied
+        self._unmerged = 0  # digests sent whose reply is not merged yet
 
     # -- transport ---------------------------------------------------------
 
@@ -124,24 +133,48 @@ class _WorkerRuntime:
 
     # -- engine hooks ------------------------------------------------------
 
-    def trust_delegate(self, digest: dict) -> Dict[int, float]:
-        """Ship one flush digest; block for the trusts that changed."""
+    def trust_delegate(self, digest: dict) -> None:
+        """Ship one flush digest; :meth:`merge_replies` merges its reply."""
         self.send({"type": "digest", "worker": self.index, "digest": digest})
-        reply = self._control.get()
-        if reply.get("type") != "trust":
-            raise EOFError("coordinator connection lost mid-flush")
-        return {int(k): float(v) for k, v in reply["changed"].items()}
+        self._unmerged += 1
+
+    def merge_replies(self, wait: bool) -> None:
+        """Merge ``trust`` replies into the engine's mirror, in digest
+        order: every outstanding one when ``wait``, else those already
+        received."""
+        assert self.engine is not None
+        while self._unmerged:
+            try:
+                reply = self._control.get(block=wait)
+            except queue.Empty:
+                return
+            if reply.get("type") != "trust":
+                raise EOFError("coordinator connection lost awaiting a trust reply")
+            self._unmerged -= 1
+            self.engine.merge_trust(
+                {int(k): float(v) for k, v in reply["changed"].items()}
+            )
 
     # -- frame handlers ----------------------------------------------------
 
     def handle_ingest(self, msg: dict) -> None:
+        """Apply ``msg`` and the ingest frames queued behind it as one group."""
         assert self.engine is not None
-        # One WAL fsync for the whole frame, when the group closes --
-        # before the frame is reported processed below.
+        # The group takes the backlog as it stands now: a frame that
+        # arrives while the group runs waits for the next group, so a
+        # group never holds more than the credit window.
+        frames = [msg]
+        with self._work_ready:
+            while self._work and self._work[0]["type"] == "ingest":
+                frames.append(self._work.popleft())
+        # One WAL fsync for the whole group, when it closes; its
+        # digests leave after that fsync, and ``processed`` after them.
         with self.engine.group_commit():
-            for g, row in msg["entries"]:
-                self.engine.submit(rating_from_dict(row), wal_meta={"g": int(g)})
-        self._processed += len(msg["entries"])
+            for frame in frames:
+                for g, row in frame["entries"]:
+                    self.engine.submit(rating_from_dict(row), wal_meta={"g": int(g)})
+                self._processed += len(frame["entries"])
+                self.merge_replies(wait=False)
         self.send(
             {"type": "processed", "worker": self.index, "n": self._processed}
         )
@@ -149,6 +182,8 @@ class _WorkerRuntime:
     def handle_rpc(self, msg: dict) -> bool:
         """Answer one rpc frame; returns False when the loop should end."""
         assert self.engine is not None
+        # Every read sees the replies to the digests sent before it.
+        self.merge_replies(wait=True)
         op = msg["op"]
         reply: dict = {"type": "reply", "id": msg["id"]}
         keep_running = True
@@ -194,6 +229,8 @@ class _WorkerRuntime:
             # coordinator turns this into a ReproError; the worker
             # process must survive a failing query.
             reply["error"] = f"{type(exc).__name__}: {exc}"
+        # A flush's (or shutdown's) own digest is answered before it is.
+        self.merge_replies(wait=True)
         self.send(reply)
         return keep_running
 
@@ -245,6 +282,9 @@ def worker_main(index: int, address: str, authkey: bytes, config: dict) -> None:
             )
         watermark = _watermark(engine)
         runtime.engine = engine
+        # The replies to the digests the recovery replayed; the welcome
+        # table below replaces what they merge.
+        runtime.merge_replies(wait=True)
         runtime.send({"type": "hello", "worker": index, "watermark": watermark})
         welcome = runtime._control.get()
         if welcome.get("type") != "welcome":

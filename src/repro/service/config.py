@@ -120,9 +120,11 @@ class ServiceConfig:
             every N appends -- the ack durability/latency trade.  It
             bounds the acked ratings a power loss can take: those past
             the last coordinator fsync whose worker had not yet fsynced
-            them.  Workers fsync once per ingest frame (a group commit
-            of up to 64 entries, before reporting it processed).  An
-            engine's own WAL fsyncs each row written outside a group.
+            them.  Workers fsync once per group commit (an ingest frame
+            and the ingest frames queued behind it, at most
+            ``cluster_queue_depth`` entries, before reporting them
+            processed).  An engine's own WAL fsyncs each row written
+            outside a group.
     """
 
     n_shards: int = 1

@@ -25,8 +25,8 @@ long-running, thread-safe serving component:
   ratings.  A flush is packaged as a digest and applied by a
   :class:`~repro.service.ledger.TrustLedger` -- the engine's own, or
   in a cluster worker the coordinator's -- whose reply, the trusts
-  that changed, is merged into the read mirror every trust read is
-  served from.
+  that changed, is merged (:meth:`merge_trust`) into the read mirror
+  every trust read is served from.
 * **Durability** -- accepted ratings are appended to a segmented
   write-ahead log *before* touching in-memory state; :meth:`snapshot`
   persists the bounded engine state (ensemble state included) and
@@ -166,13 +166,19 @@ class RatingEngine:
         trust_delegate: when set, the engine runs in **cluster-worker
             mode**: it has no ledger of its own, and each flush digest
             (see :mod:`repro.service.ledger`) is handed to this
-            callable, which must return the ledger's reply (the
-            rater->trust values the engine's mirror lacks).  Digest
+            one-way callable, whose return value is ignored.  The
+            caller merges the ledger's reply (the rater->trust values
+            the engine's mirror lacks) through :meth:`merge_trust`
+            later, in digest order.  A flush inside a
+            :meth:`group_commit` queues its digest; the queue is handed
+            over, after a WAL sync that covers it, when the outermost
+            group exits, on an explicit :meth:`flush` and before a
+            :meth:`snapshot` (:meth:`_release_digests`).  Digest
             ``seq`` equals the engine's trust-update counter, which is
             deterministic under WAL replay, so the receiving ledger can
             deduplicate redelivered digests after a crash.  Without a
-            delegate the engine applies its digests to its own
-            :class:`~repro.service.ledger.TrustLedger`.
+            delegate the engine applies each digest to its own
+            :class:`~repro.service.ledger.TrustLedger` at the flush.
 
     Either way the reply is merged into the read mirror serving
     :meth:`trust`, :meth:`trust_table`, :meth:`score` weighting, and
@@ -200,6 +206,8 @@ class RatingEngine:
         "_n_evaluations": "_lock",
         "_n_flagged": "_lock",
         "_n_trust_updates": "_lock",
+        "_group_depth": "_lock",
+        "_queued_digests": "_lock",
         "_trust_epoch": "_trust_lock",
         "_trust_mirror": "_trust_lock",
     }
@@ -208,7 +216,7 @@ class RatingEngine:
         self,
         config: Optional[ServiceConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
-        trust_delegate: Optional[Callable[[dict], Dict[int, float]]] = None,
+        trust_delegate: Optional[Callable[[dict], object]] = None,
     ) -> None:
         self.config = config if config is not None else ServiceConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -218,7 +226,11 @@ class RatingEngine:
         # A cluster worker has no ledger: its delegate ships digests to
         # the coordinator's.
         self._ledger = TrustLedger(self.config) if trust_delegate is None else None
-        self._trust_delegate = trust_delegate or self._apply_to_own_ledger
+        self._trust_delegate = trust_delegate
+        # Delegate mode: digests flushed inside a group, not yet handed
+        # to the delegate, oldest first; and the open groups' depth.
+        self._queued_digests: List[dict] = []
+        self._group_depth = 0
         # The ledger's table as its replies built it; serves every read.
         self._trust_mirror: Dict[int, float] = {}
         # Opaque client bookkeeping persisted with every snapshot: each
@@ -397,9 +409,9 @@ class RatingEngine:
         to the OS as usual, but fsynced once, when the block exits (see
         :meth:`WriteAheadLog.group_commit`).  Holding the engine lock
         throughout means no reader can see a rating before it is
-        durable; what does leave mid-block syncs first -- a
-        delegate-mode trust digest (:meth:`_flush_locked`) and a
-        snapshot (:meth:`snapshot`).
+        durable.  Delegate-mode digests flushed inside the block leave
+        after that fsync, when the outermost block exits; what leaves
+        mid-block syncs first (:meth:`snapshot`).
         """
         with self._lock:
             # The group's closing fsync runs under the engine lock on
@@ -410,8 +422,17 @@ class RatingEngine:
                 if self.wal is not None
                 else nullcontext()
             )
-            with group:
-                yield
+            self._group_depth += 1
+            try:
+                with group:
+                    yield
+            finally:
+                self._group_depth -= 1
+            if not self._group_depth:
+                # The group's digests leave in flush order, after the
+                # fsync above; the lock keeps a later flush's digest
+                # from overtaking them.
+                self._release_digests()  # repro: lint-disable[CC02]
 
     def _ingest(
         self,
@@ -555,27 +576,21 @@ class RatingEngine:
             "suspicion": self._combine(per_source, self._source_weights),
             "flagged": flagged_counts,
         }
-        if self.wal is not None:
+        if self.wal is not None and not self._recovering:
             # The flush is recorded as a control marker so a replay
             # reproduces it at exactly this log position -- without it,
             # recovery would re-accumulate the flushed tallies and
             # re-use this digest's seq for different contents.
-            if not self._recovering:
-                self.wal.append_control({"flush": 0})
-            if self._ledger is None:
-                # Cluster-worker mode: the digest's WAL rows must be
-                # durable before the digest escapes the process: if the
-                # receiver applies it and we crash with an unfsynced
-                # tail, replay would regenerate a *different* digest
-                # under the same seq and the receiver's dedup would
-                # silently drop it.
-                self.wal.sync()
-        # The delegate call (an RPC in the cluster) runs outside
-        # _trust_lock so trust reads stay available meanwhile.
-        changed = self._trust_delegate(digest)
-        with self._trust_lock:
-            self._trust_mirror.update(changed)
-            self._trust_epoch += 1
+            self.wal.append_control({"flush": 0})
+        if self._ledger is not None:
+            self.merge_trust(self._ledger.apply(digest, 0)[1])
+        else:
+            # Cluster-worker mode: applying a rating and building the
+            # next digest never read this one's reply, so the digest
+            # waits for its group's fsync instead of syncing here.
+            self._queued_digests.append(digest)
+            if not self._group_depth:
+                self._release_digests()
         self._pending_provided = {}
         self._since_flush = 0
         self._last_flush = time.monotonic()
@@ -585,9 +600,33 @@ class RatingEngine:
             source.prune()
 
     def flush(self) -> None:
-        """Flush the pending observations into the trust ledger."""
+        """Flush the pending observations into the trust ledger.
+
+        In delegate mode every queued digest leaves too, this one last.
+        """
         with self._lock:
             self._flush_locked()
+            # Under the lock, so no later flush's digest can overtake
+            # the queued ones.
+            self._release_digests()  # repro: lint-disable[CC02]
+
+    def _release_digests(self) -> None:
+        """Hand the queued digests to the delegate, oldest first (lock held).
+
+        The one place a delegate-mode digest leaves the engine, and
+        only after a WAL sync that covers its rows: if the receiver
+        applied a digest and a power loss then took an unfsynced tail,
+        the replay would regenerate a *different* digest under the
+        same seq, and the receiver's dedup would silently drop it.
+        """
+        if not self._queued_digests:
+            return
+        if self.wal is not None:
+            self.wal.sync()
+        digests, self._queued_digests = self._queued_digests, []
+        assert self._trust_delegate is not None
+        for digest in digests:
+            self._trust_delegate(digest)
 
     def _replay_control(self, meta: Optional[dict]) -> None:
         """Re-execute one WAL control row during recovery.
@@ -602,9 +641,18 @@ class RatingEngine:
             with self._lock:
                 self._flush_locked()
 
-    def _apply_to_own_ledger(self, digest: dict) -> Dict[int, float]:
-        """The in-process trust delegate: the engine's ledger, origin 0."""
-        return self._own_ledger().apply(digest, 0)[1]
+    def merge_trust(self, changed: Dict[int, float]) -> None:
+        """Merge one ledger reply -- the trusts that changed -- into the
+        read mirror, and bump the trust epoch so stale score-cache
+        entries are dropped.
+
+        The in-process engine merges its own ledger's reply at the
+        flush; a cluster worker merges each coordinator reply, in
+        digest order, before it answers the next read.
+        """
+        with self._trust_lock:
+            self._trust_mirror.update(changed)
+            self._trust_epoch += 1
 
     def install_trust_mirror(self, table: Dict[int, float]) -> None:
         """Install a full trust table.
@@ -613,8 +661,8 @@ class RatingEngine:
         :meth:`score` weighting, and :meth:`detected_malicious`, and
         bumps the trust epoch so stale score-cache entries are dropped.
         Called after a snapshot load, and by the cluster worker with
-        the coordinator's ``welcome`` table after (re)connect; each
-        flush merges its reply instead.  The caller passes a fresh
+        the coordinator's ``welcome`` table after (re)connect; a
+        flush's reply is merged by :meth:`merge_trust` instead.  The caller passes a fresh
         ``{int: float}`` table and the engine keeps it as is.
         """
         with self._trust_lock:
@@ -887,6 +935,10 @@ class RatingEngine:
         if self.config.wal_dir is None:
             raise ConfigurationError("snapshots need a configured wal_dir")
         with self._lock:
+            # Queued digests leave (synced) before the capture: the
+            # snapshot counts them as sent, so a crash after it is
+            # written would never replay their flush markers.
+            self._release_digests()  # repro: lint-disable[CC02]
             self._store.commit()
             state = self._state_dict()
         if self.wal is not None:
@@ -904,7 +956,7 @@ class RatingEngine:
         wal_dir: "str | Path",
         config: Optional[ServiceConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
-        trust_delegate: Optional[Callable[[dict], Dict[int, float]]] = None,
+        trust_delegate: Optional[Callable[[dict], object]] = None,
     ) -> "RatingEngine":
         """Rebuild an engine from a WAL directory.
 

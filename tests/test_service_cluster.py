@@ -351,38 +351,47 @@ class TestWorkerCrashRecovery:
 
 
 # Put first on the spawned workers' PYTHONPATH: each worker engine logs
-# its whole read mirror after every flush that sent a digest, and after
-# each full-table install (the coordinator's ``welcome``), to a file of
-# its own.
+# its whole read mirror after every trust reply it merges, with that
+# reply's digest seq, and after each full-table install (the
+# coordinator's ``welcome``), to a file of its own.
 _MIRROR_HOOK = """
 import os
 
 _log = os.environ.get("REPRO_TEST_MIRROR_LOG")
 if _log:
+    import collections
     import json
+    from repro.service.cluster.worker import _WorkerRuntime
     from repro.service.engine import RatingEngine
 
     _path = f"{_log}.{os.getpid()}"
-    _flush = RatingEngine._flush_locked
+    _send = _WorkerRuntime.trust_delegate
+    _merge = RatingEngine.merge_trust
     _install = RatingEngine.install_trust_mirror
+    # Seqs of the digests sent whose reply is not merged yet; replies
+    # are merged in digest order.
+    _unmerged = collections.deque()
 
-    def _record(engine, kind):
+    def _record(engine, kind, seq):
         origin = int(os.path.basename(engine.config.wal_dir).split("-")[1])
-        row = [origin, kind, engine._n_trust_updates, engine.trust_table()]
+        row = [origin, kind, seq, engine.trust_table()]
         with open(_path, "a") as handle:
             handle.write(json.dumps(row) + "\\n")
 
-    def _flush_locked(self):
-        before = self._n_trust_updates
-        _flush(self)
-        if self._n_trust_updates != before:
-            _record(self, "reply")
+    def trust_delegate(self, digest):
+        _unmerged.append(int(digest["seq"]))
+        return _send(self, digest)
+
+    def merge_trust(self, changed):
+        _merge(self, changed)
+        _record(self, "reply", _unmerged.popleft())
 
     def install_trust_mirror(self, table):
         _install(self, table)
-        _record(self, "welcome")
+        _record(self, "welcome", None)
 
-    RatingEngine._flush_locked = _flush_locked
+    _WorkerRuntime.trust_delegate = trust_delegate
+    RatingEngine.merge_trust = merge_trust
     RatingEngine.install_trust_mirror = install_trust_mirror
 """
 
@@ -424,8 +433,8 @@ class TestTrustMirror:
         alone: merged in order with the welcomes, every origin's
         replies rebuild the table."""
         # Per origin, in order: ("welcome" | "reply", seq, sent, table);
-        # a worker waits for each reply, so one origin's events never
-        # interleave.
+        # one reader thread applies an origin's digests in the order the
+        # worker sent them, so one origin's events never interleave.
         events = {index: [] for index in range(workers)}
         seqs = {}
         apply, reply_locked, welcome = (
@@ -493,8 +502,12 @@ class TestTrustMirror:
                         mirror.update(sent)
                     assert mirror == table
 
-                cursor = 0
-                for pid in pids[origin]:
+                # Each worker process of the origin got one welcome, in
+                # order; one SIGKILLed early may not have logged its own.
+                welcomes = [i for i, event in enumerate(trail) if event[0] == "welcome"]
+                assert len(welcomes) == len(pids[origin])
+                checked = 0
+                for pid, cursor in zip(pids[origin], welcomes):
                     welcomed = False
                     for index, kind, seq, logged in _logged_rows(f"{log}.{pid}"):
                         assert index == origin
@@ -508,7 +521,8 @@ class TestTrustMirror:
                         mirror = {int(k): v for k, v in logged.items()}
                         assert mirror == trail[cursor][3], (origin, kind, seq)
                         cursor += 1
-                assert cursor > 0
+                        checked += 1
+                assert checked > 0
 
 
 # Put first on the crashed cluster's PYTHONPATH: every process of it
@@ -1153,6 +1167,72 @@ class TestScoreView:
             assert after != before
         finally:
             cluster.close()
+
+
+class TestDeferredReplies:
+    """A worker sends each trust digest without waiting for its reply
+    and merges the replies, in order, before it answers a read."""
+
+    def test_read_waits_for_a_held_reply(self, tmp_path):
+        """The coordinator holds the reply to a cadence flush's digest
+        after the worker reported the flushing frame processed.  A
+        score read issued meanwhile must wait for the reply and answer
+        with the merged trusts, as the in-process engine does."""
+        cluster = ClusterCoordinator(
+            cluster_config(tmp_path, workers=1, batch_max_ratings=6)
+        )
+        reference = RatingEngine(
+            ServiceConfig(batch_max_ratings=6, detector_window=16, detector_stride=8)
+        )
+        # The sixth rating's flush moves product 0 from 0.5 to 0.318.
+        rows = [(0, 0, 0.0), (0, 1, 1.0), (1, 0, 0.2), (2, 0, 0.5), (3, 0, 0.7), (4, 0, 0.9)]
+        batch = [
+            _rating(n, rater_id, product_id, value, n)
+            for n, (product_id, rater_id, value) in enumerate(rows)
+        ]
+        handle = cluster._handles[0]
+        held, release = threading.Event(), threading.Event()
+        apply_digest = cluster._apply_digest
+
+        def holding_apply(handle, digest, conn):
+            """Apply and answer the digest later; the reader moves on."""
+
+            def later():
+                release.wait(30)
+                apply_digest(handle, digest, conn)
+
+            threading.Thread(target=later, daemon=True).start()
+            held.set()
+
+        cluster._apply_digest = holding_apply
+        try:
+            reference.submit_many(batch)
+            cluster.submit_many(batch)
+            assert held.wait(30)
+            assert cluster._caught_up(handle, 30)  # processed came first
+            read = {}
+            reader = threading.Thread(
+                target=lambda: read.update(score=cluster.score(0))
+            )
+            reader.start()
+            deadline = time.monotonic() + 10
+            while not cluster._rpcs and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert cluster._rpcs, "the score rpc never left"
+            time.sleep(0.3)  # time enough for an idle worker to answer
+            assert reader.is_alive(), "the read did not wait for the reply"
+            release.set()
+            reader.join(30)
+            assert not reader.is_alive()
+            assert read["score"] == reference.score(0) != 0.5
+            assert cluster.trust(0) == reference.trust(0) != 0.5
+            assert cluster.trust_table() == reference.trust_table()
+            assert cluster.score(0) == _fresh_score(cluster, 0) == read["score"]
+        finally:
+            release.set()
+            del cluster._apply_digest
+            cluster.close()
+            reference.close()
 
 
 @pytest.mark.slow

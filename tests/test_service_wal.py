@@ -160,8 +160,9 @@ class TestGroupCommit:
         engine.close()
 
     def test_digest_leaves_only_after_its_rows_are_synced(self, tmp_path, fsynced):
-        """A delegate-mode flush mid-group syncs first: the digest never
-        depends on a row a power loss could still take."""
+        """Delegate-mode flushes mid-group queue their digests, which
+        leave after the group's fsync: a digest never depends on a row
+        a power loss could still take."""
         unsynced_at_digest = []
 
         def delegate(digest):
@@ -174,13 +175,48 @@ class TestGroupCommit:
         )
         engine.submit_many(make_stream(64))  # one group, six flushes inside
         assert unsynced_at_digest == [False] * 6
-        # One fsync per flush marker; the group's end syncs the last 4.
-        assert engine.metrics.histogram("repro_wal_fsync_seconds").count == 7
+        # One fsync for the group, its six flush markers included.
+        assert engine.metrics.histogram("repro_wal_fsync_seconds").count == 1
+        engine.close()
+
+    def test_snapshot_in_a_group_releases_queued_digests_first(
+        self, tmp_path, fsynced, monkeypatch
+    ):
+        """An automatic snapshot inside a delegate-mode group counts the
+        digests queued before it as sent, so they leave (synced) before
+        the snapshot is written: a crash after it would never replay
+        their flush markers."""
+        from repro.service import engine as engine_module
+
+        sent = []  # (digest seq, every row fsynced when it left)
+        written = []  # (digests the snapshot counts, digests sent by then)
+        write_snapshot = engine_module.write_snapshot
+
+        def recording_write(directory, state):
+            written.append((state["n_trust_updates"], len(sent)))
+            return write_snapshot(directory, state)
+
+        monkeypatch.setattr(engine_module, "write_snapshot", recording_write)
+        engine = RatingEngine(
+            ServiceConfig(
+                wal_dir=str(tmp_path),
+                **{**BASE, "batch_max_ratings": 10, "snapshot_every": 25},
+            ),
+            trust_delegate=lambda digest: sent.append(
+                (digest["seq"], _all_synced(engine.wal, fsynced))
+            ),
+        )
+        engine.submit_many(make_stream(64))  # one group: 2 snapshots, 6 flushes
+        assert written == [(2, 2), (5, 5)]
+        assert sent == [(seq, True) for seq in range(1, 7)]
         engine.close()
 
     def test_worker_reports_processed_after_the_frame_fsync(self, tmp_path, fsynced):
-        """The worker commits an ingest frame as one group, and its
-        ``processed`` frame leaves only once that group is fsynced."""
+        """The worker commits an ingest frame together with the ingest
+        frames queued behind it when the group opens, up to the first
+        rpc frame, as one group: one fsync, and one ``processed`` that
+        leaves only once the group is fsynced.  A frame arriving while
+        the group runs waits for the next group."""
 
         class FakeConnection:
             def __init__(self):
@@ -192,23 +228,45 @@ class TestGroupCommit:
 
         conn = FakeConnection()
         runtime = _WorkerRuntime(0, conn)
-        runtime.engine = RatingEngine(
+        engine = runtime.engine = RatingEngine(
             ServiceConfig(wal_dir=str(tmp_path), **{**BASE, "batch_max_ratings": 1000}),
-            trust_delegate=lambda digest: {},
+            trust_delegate=lambda digest: None,
         )
-        entries = [[g, rating_to_dict(r)] for g, r in enumerate(make_stream(60))]
-        for start in range(0, 60, 20):
-            runtime.handle_ingest(
-                {"type": "ingest", "entries": entries[start : start + 20]}
-            )
-        assert [(msg["type"], msg["n"], synced) for msg, synced in conn.sent] == [
-            ("processed", 20, True),
-            ("processed", 40, True),
-            ("processed", 60, True),
+        entries = [[g, rating_to_dict(r)] for g, r in enumerate(make_stream(100))]
+        frames = [
+            {"type": "ingest", "entries": entries[start : start + 20]}
+            for start in range(0, 100, 20)
         ]
-        fsyncs = runtime.engine.metrics.histogram("repro_wal_fsync_seconds").count
-        assert fsyncs == 3  # one per frame
-        runtime.engine.close()
+        rpc = {"type": "rpc", "op": "has_product", "id": 1, "product_id": 0}
+        runtime._work.extend([frames[1], frames[2], rpc, frames[3]])
+        runtime.handle_ingest(frames[0])
+        assert list(runtime._work) == [rpc, frames[3]]  # stopped at the rpc
+        fsyncs = engine.metrics.histogram("repro_wal_fsync_seconds")
+        assert fsyncs.count == 1
+
+        runtime.handle_rpc(runtime._work.popleft())
+        submit = engine.submit
+        arriving = [frames[4]]
+
+        def arriving_submit(rating, wal_meta=None):
+            if arriving:
+                runtime._work.append(arriving.pop())  # arrives mid-group
+            return submit(rating, wal_meta=wal_meta)
+
+        engine.submit = arriving_submit
+        runtime.handle_ingest(runtime._work.popleft())
+        assert list(runtime._work) == [frames[4]]
+        assert fsyncs.count == 2
+        del engine.submit
+        runtime.handle_ingest(runtime._work.popleft())
+        assert fsyncs.count == 3
+        assert [(msg["type"], msg.get("n"), synced) for msg, synced in conn.sent] == [
+            ("processed", 60, True),
+            ("reply", None, True),
+            ("processed", 80, True),
+            ("processed", 100, True),
+        ]
+        engine.close()
 
 
 class TestSegments:
