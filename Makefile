@@ -52,8 +52,9 @@ bench:
 bench-ensemble:
 	$(PYTHON) benchmarks/bench_ensemble.py --json BENCH_ensemble.json
 
+# Rebuild the committed lint wall-time artifact (median of 3 cold runs).
 bench-lint:
-	$(PYTHON) benchmarks/bench_lint.py --json lint-bench.json
+	$(PYTHON) benchmarks/bench_lint.py --json BENCH_lint.json
 
 # The 20 costliest imports (cumulative us) of what `repro serve` and each
 # spawned cluster worker load; scipy/networkx must not appear.

@@ -1,157 +1,109 @@
-"""Lint engine cold-vs-warm benchmark with a CI warm-cache budget.
+"""Lint wall time: the median of three cold runs over ``src/``.
 
-The incremental cache's value proposition is that an unchanged tree
-costs almost nothing to re-lint.  This bench prices that claim on the
-real ``src/`` tree: one cold run (empty cache), one warm run (full
-hit), and two incremental runs -- one after touching a leaf module
-(small import cone), one after touching ``service/wal.py`` (the
-persistence tier, whose edit re-runs the interprocedural effect
-rules over its whole import cone).
-The warm run must re-analyze zero files; CI additionally enforces a
-wall-clock budget so a cache regression fails the build instead of
-silently slowing every push.
+Every lint run parses and checks the whole tree, so one number prices
+the linter: the median wall time of :data:`RUNS` runs of every rule
+over ``src/`` against the committed baseline.  CI fails the build when
+that median exceeds ``--max-cold-seconds``.
 
-Also runs standalone without pytest::
+Also runs standalone without pytest (``make bench-lint`` rebuilds the
+committed ``BENCH_lint.json``, stamped with where it ran)::
 
-    PYTHONPATH=src python benchmarks/bench_lint.py --json lint-bench.json
+    PYTHONPATH=src python benchmarks/bench_lint.py \
+        --json BENCH_lint.json --max-cold-seconds 5.9
 """
 
 from __future__ import annotations
 
 import argparse
+import datetime
 import json
-import shutil
+import os
+import platform
+import statistics
+import subprocess
 import sys
-import tempfile
 import time
+from importlib import metadata
 from pathlib import Path
+from typing import Optional
 
-try:
-    from benchmarks.conftest import emit
-except ModuleNotFoundError:  # standalone `python benchmarks/bench_lint.py`
-    def emit(title: str, body: str) -> None:
-        bar = "=" * 72
-        print(f"\n{bar}\n{title}\n{bar}\n{body}")
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:  # standalone `python benchmarks/bench_lint.py`
+    sys.path.insert(0, str(ROOT))
 
+from benchmarks.conftest import emit
 from repro.devtools.runner import run_lint
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-# A leaf module with a small import cone: touching it should
-# invalidate only itself plus its few dependents, not the tree.
-TOUCH_TARGET = "src/repro/signal/detrend.py"
-# A persistence-tier module: touching it re-runs the effect-summary
-# rules (DP/SD) over its import cone -- the expensive end of
-# the incremental spectrum, priced separately so a regression in the
-# interprocedural pass shows up here rather than in the leaf number.
-SERVICE_TOUCH_TARGET = "src/repro/service/wal.py"
+RUNS = 3
 
 
-def _timed_run(cache_dir: Path):
-    start = time.perf_counter()
-    result = run_lint(
-        [REPO_ROOT / "src"],
-        project_root=REPO_ROOT,
-        baseline_path=REPO_ROOT / ".lint-baseline.json",
-        cache_dir=cache_dir,
-    )
-    elapsed = time.perf_counter() - start
-    return result, elapsed
-
-
-def _touched_run(cache_dir: Path, relpath: str):
-    """Append a comment to ``relpath``, re-lint, restore the file."""
-    target = REPO_ROOT / relpath
-    original = target.read_text(encoding="utf-8")
+def _git(*args: str) -> Optional[str]:
     try:
-        target.write_text(original + "\n# bench touch\n", encoding="utf-8")
-        return _timed_run(cache_dir)
-    finally:
-        target.write_text(original, encoding="utf-8")
+        done = subprocess.run(
+            ["git", *args], cwd=ROOT, capture_output=True, text=True, timeout=10
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
 
 
-def run_bench(touch: bool = True) -> dict:
-    """Cold, warm, and (optionally) incremental lint over src/."""
-    workdir = Path(tempfile.mkdtemp(prefix="bench-lint-"))
-    cache_dir = workdir / "lint-cache"
+def _numpy_version() -> Optional[str]:
+    # Read from the installed metadata: the linter needs only the
+    # standard library, so the bench must run where numpy is absent.
     try:
-        cold, cold_s = _timed_run(cache_dir)
-        warm, warm_s = _timed_run(cache_dir)
-        stats = {
-            "files_total": cold.files_total,
-            "cold_seconds": round(cold_s, 4),
-            "cold_reanalyzed": len(cold.reanalyzed),
-            "warm_seconds": round(warm_s, 4),
-            "warm_reanalyzed": len(warm.reanalyzed),
-            "warm_cache_status": warm.cache_status,
-            "warm_speedup": round(cold_s / warm_s, 2) if warm_s else None,
-            "active_findings": len(warm.active_findings()),
-        }
-        if touch:
-            incr, incr_s = _touched_run(cache_dir, TOUCH_TARGET)
-            stats.update(
-                incremental_seconds=round(incr_s, 4),
-                incremental_reanalyzed=len(incr.reanalyzed),
-                incremental_cache_status=incr.cache_status,
-            )
-            # Re-warm so the service touch is measured against a clean
-            # cache, not the leaf touch's residue.
-            _timed_run(cache_dir)
-            svc, svc_s = _touched_run(cache_dir, SERVICE_TOUCH_TARGET)
-            stats.update(
-                service_touch_seconds=round(svc_s, 4),
-                service_touch_reanalyzed=len(svc.reanalyzed),
-                service_touch_cache_status=svc.cache_status,
-            )
-        return stats
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
+        return metadata.version("numpy")
+    except metadata.PackageNotFoundError:
+        return None
+
+
+def provenance() -> dict:
+    """Where the bench ran: git sha, interpreter, numpy, CPUs and time."""
+    status = _git("status", "--porcelain")
+    return {
+        "git_sha": _git("rev-parse", "HEAD"),
+        "git_dirty": None if status is None else bool(status),
+        "python": platform.python_version(),
+        "numpy": _numpy_version(),
+        "cpu_count": os.cpu_count(),
+        "loadavg_start": list(os.getloadavg()),
+        "utc": datetime.datetime.now(datetime.timezone.utc).isoformat(
+            timespec="seconds"
+        ),
+    }
+
+
+def run_bench(runs: int = RUNS) -> dict:
+    """Lint ``src/`` ``runs`` times; the median wall time and its runs."""
+    stamp = provenance()
+    seconds = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        result = run_lint(
+            [ROOT / "src"],
+            project_root=ROOT,
+            baseline_path=ROOT / ".lint-baseline.json",
+        )
+        seconds.append(time.perf_counter() - start)
+    return {
+        "files": len(result.files),
+        "active_findings": len(result.active_findings()),
+        "runs": runs,
+        "seconds": [round(s, 4) for s in seconds],
+        "median_seconds": round(statistics.median(seconds), 4),
+        "provenance": stamp,
+    }
 
 
 def _report(stats: dict) -> str:
-    lines = [
-        f"files linted            {stats['files_total']}",
-        f"cold run                {stats['cold_seconds']:.3f}s"
-        f"  ({stats['cold_reanalyzed']} analyzed)",
-        f"warm run                {stats['warm_seconds']:.3f}s"
-        f"  ({stats['warm_reanalyzed']} analyzed,"
-        f" {stats['warm_cache_status']})",
-        f"warm speedup            {stats['warm_speedup']}x",
-    ]
-    if "incremental_seconds" in stats:
-        lines.append(
-            f"touch one leaf module   {stats['incremental_seconds']:.3f}s"
-            f"  ({stats['incremental_reanalyzed']} analyzed,"
-            f" {stats['incremental_cache_status']})"
-        )
-    if "service_touch_seconds" in stats:
-        lines.append(
-            f"touch the WAL module    {stats['service_touch_seconds']:.3f}s"
-            f"  ({stats['service_touch_reanalyzed']} analyzed,"
-            f" {stats['service_touch_cache_status']})"
-        )
-    lines.append(f"active findings         {stats['active_findings']}")
-    return "\n".join(lines)
-
-
-def check_budget(stats: dict, max_warm_seconds: float) -> list:
-    """Budget violations for CI; empty when the cache holds up."""
-    problems = []
-    if stats["warm_reanalyzed"] != 0:
-        problems.append(
-            "warm run re-analyzed "
-            f"{stats['warm_reanalyzed']} file(s); expected 0"
-        )
-    if stats["warm_cache_status"] != "hit":
-        problems.append(
-            f"warm cache status is {stats['warm_cache_status']!r}; "
-            "expected 'hit'"
-        )
-    if stats["warm_seconds"] > max_warm_seconds:
-        problems.append(
-            f"warm run took {stats['warm_seconds']:.3f}s; "
-            f"budget is {max_warm_seconds:.3f}s"
-        )
-    return problems
+    runs = ", ".join(f"{s:.3f}s" for s in stats["seconds"])
+    return "\n".join(
+        [
+            f"files linted        {stats['files']}",
+            f"runs                {runs}",
+            f"median              {stats['median_seconds']:.3f}s",
+            f"active findings     {stats['active_findings']}",
+        ]
+    )
 
 
 def main(argv=None) -> int:
@@ -160,24 +112,19 @@ def main(argv=None) -> int:
         "--json", metavar="PATH", help="write the stats as a JSON artifact"
     )
     parser.add_argument(
-        "--max-warm-seconds",
+        "--max-cold-seconds",
         type=float,
         default=None,
-        help="fail (exit 1) when the warm run exceeds this wall-clock budget",
-    )
-    parser.add_argument(
-        "--no-touch",
-        action="store_true",
-        help="skip the incremental (touch-one-file) measurement",
+        help="fail (exit 1) when the median run exceeds this wall-clock budget",
     )
     args = parser.parse_args(argv)
 
     try:
-        stats = run_bench(touch=not args.no_touch)
+        stats = run_bench()
     except (OSError, ValueError, SyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    emit("Lint engine: cold vs warm cache over src/", _report(stats))
+    emit(f"Lint engine: median of {RUNS} cold runs over src/", _report(stats))
     if args.json:
         try:
             Path(args.json).write_text(
@@ -188,24 +135,22 @@ def main(argv=None) -> int:
             print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)
             return 2
         print(f"wrote {args.json}")
-    if args.max_warm_seconds is not None:
-        problems = check_budget(stats, args.max_warm_seconds)
-        if problems:
-            for problem in problems:
-                print(f"budget violation: {problem}", file=sys.stderr)
-            return 1
+    budget = args.max_cold_seconds
+    if budget is not None and stats["median_seconds"] > budget:
+        print(
+            f"budget violation: median run took {stats['median_seconds']:.3f}s; "
+            f"budget is {budget:.3f}s",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 
-def test_warm_cache_budget(benchmark):
-    """Pytest entry: warm run must be a full hit and beat the cold run."""
-    stats = benchmark.pedantic(
-        lambda: run_bench(touch=False), rounds=1, iterations=1
-    )
-    emit("Lint engine: cold vs warm cache over src/", _report(stats))
-    assert stats["warm_reanalyzed"] == 0
-    assert stats["warm_cache_status"] == "hit"
-    assert stats["warm_seconds"] < stats["cold_seconds"]
+def test_lint_cold_runs(benchmark):
+    """Pytest entry: the tree lints clean in every timed run."""
+    stats = benchmark.pedantic(run_bench, rounds=1, iterations=1)
+    emit(f"Lint engine: median of {RUNS} cold runs over src/", _report(stats))
+    assert stats["active_findings"] == 0
 
 
 if __name__ == "__main__":

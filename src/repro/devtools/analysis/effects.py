@@ -47,8 +47,6 @@ runs detached from the call site).
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
@@ -166,22 +164,6 @@ class EffectRegistry:
                 ]
                 if cleaned:
                     self.orderings[f"{module_name}.{name}"] = cleaned
-
-    # -- identity ---------------------------------------------------------
-
-    def digest(self) -> str:
-        """Stable hash of the registry -- part of the cache signature."""
-        payload = {
-            "providers": dict(sorted(self.providers.items())),
-            "ack_providers": sorted(self.ack_providers),
-            "ack_methods": sorted(self.ack_methods),
-            "orderings": {
-                name: [list(pair) for pair in pairs]
-                for name, pairs in sorted(self.orderings.items())
-            },
-        }
-        blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
 
 
 #: The WAL/snapshot durability surface (PR 8) expressed as effects.

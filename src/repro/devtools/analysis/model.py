@@ -1,21 +1,21 @@
-"""Project-wide symbol table, import DAG, and call resolution.
+"""Project-wide symbol table, import resolution, and call resolution.
 
 Built on top of the per-file parse layer (:class:`SourceFile`) and the
 class/function index (:class:`ProjectModel`), this module adds what the
 interprocedural rule families need:
 
-* a **module table** -- dotted module name per file, the absolute
-  module names each file imports (relative imports resolved), and the
-  per-file reference index (names read, attributes accessed, words in
-  string constants) that the dead-export rules consume;
-* the **import graph** restricted to project-internal edges, with the
-  transitive import cone the incremental cache records per file;
+* a **module table** -- dotted module name per file, the names each
+  file imports (relative imports resolved), and the per-file reference
+  index (names read, attributes accessed, words in string constants)
+  that the dead-export rules consume;
+* **import resolution** restricted to project-internal modules
+  (``from pkg import mod`` binds ``mod`` as a module alias);
 * **cross-module call resolution** extending the per-file resolver:
   ``from pkg.mod import helper; helper()`` resolves to
   ``pkg/mod.py::helper``, ``SomeClass.method(...)`` through an imported
   class resolves to the method, and constructor calls resolve to
-  ``__init__`` (plus ``__post_init__`` for dataclasses) so exception
-  flow sees validation raises.
+  ``__init__`` (plus ``__post_init__`` for dataclasses) so effect
+  summaries see what a constructor does.
 """
 
 from __future__ import annotations
@@ -72,8 +72,6 @@ class ModuleInfo:
 
     file: SourceFile
     module: str
-    #: absolute names of every module an import statement targets.
-    imports: Set[str] = field(default_factory=set)
     #: local name -> (source module, original name) for ``from m import x``.
     imported_names: Dict[str, Tuple[str, str]] = field(default_factory=dict)
     #: local alias -> module name for ``import m [as a]`` (and submodule
@@ -122,7 +120,6 @@ def _collect_module_info(file: SourceFile) -> ModuleInfo:
     for node in ast.walk(file.tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                info.imports.add(alias.name)
                 local = alias.asname or alias.name.split(".")[0]
                 info.module_aliases[local] = alias.name if alias.asname else alias.name.split(".")[0]
         elif isinstance(node, ast.ImportFrom):
@@ -138,7 +135,6 @@ def _collect_module_info(file: SourceFile) -> ModuleInfo:
                 source = f"{base}.{node.module}" if node.module else base
             else:
                 source = node.module or ""
-            info.imports.add(source)
             for alias in node.names:
                 if alias.name == "*":
                     continue
@@ -157,7 +153,7 @@ def _collect_module_info(file: SourceFile) -> ModuleInfo:
 
 
 class AnalysisModel:
-    """The whole-program view shared by the DI/EX/DX/DP/SD rules."""
+    """The whole-program view shared by the DX and DP rules."""
 
     def __init__(
         self,
@@ -174,38 +170,18 @@ class AnalysisModel:
             self.modules[file.relpath] = info
             if info.module:
                 self.by_module_name[info.module] = file.relpath
-        self._import_graph: Dict[str, Set[str]] = {}
         for relpath, info in self.modules.items():
-            deps: Set[str] = set()
-            for module in info.imports:
-                target = self.module_file(module)
-                if target is not None and target != relpath:
-                    deps.add(target)
-            # ``from pkg import mod`` pulls in pkg/mod.py as well.
+            # ``from pkg import mod`` binds pkg/mod.py as a module alias.
             for source, orig in info.imported_names.values():
                 target = self.module_file(f"{source}.{orig}")
                 if target is not None and target != relpath:
-                    deps.add(target)
                     info.module_aliases.setdefault(orig, f"{source}.{orig}")
-            self._import_graph[relpath] = deps
 
-    # -- import graph -----------------------------------------------------
+    # -- imports ----------------------------------------------------------
 
     def module_file(self, module: str) -> Optional[str]:
         """Project file providing a module, or None for external ones."""
         return self.by_module_name.get(module)
-
-    def transitive_imports(self, relpath: str) -> Set[str]:
-        """Every project file reachable through imports (exclusive)."""
-        seen: Set[str] = set()
-        queue = list(self._import_graph.get(relpath, ()))
-        while queue:
-            dep = queue.pop()
-            if dep in seen:
-                continue
-            seen.add(dep)
-            queue.extend(self._import_graph.get(dep, ()))
-        return seen
 
     # -- contract / call resolution ---------------------------------------
 
@@ -236,8 +212,8 @@ class AnalysisModel:
         """Every project function a call site may enter.
 
         Extends the per-file resolver with imports and constructors;
-        an empty list means "unresolvable" (treated as non-raising and
-        contract-free -- documented in docs/LINT.md).
+        an empty list means "unresolvable" (the call contributes no
+        effects -- documented in docs/LINT.md).
         """
         if call.callee is not None:
             return [call.callee]
@@ -293,15 +269,9 @@ class AnalysisModel:
 
 
 def get_analysis(project: ProjectModel, files: Sequence[SourceFile]) -> AnalysisModel:
-    """The run's :class:`AnalysisModel`, built once and memoized.
-
-    Built over the whole lint universe even when a rule receives only a
-    subset of files to emit for (the incremental runner stashes the
-    full set on the project as ``_all_files``).
-    """
+    """The run's :class:`AnalysisModel`, built once and memoized."""
     cached = getattr(project, "_analysis_model", None)
     if cached is None:
-        universe = getattr(project, "_all_files", None) or files
-        cached = AnalysisModel(universe, project.root, project)
+        cached = AnalysisModel(files, project.root, project)
         project._analysis_model = cached
     return cached

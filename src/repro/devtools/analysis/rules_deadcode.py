@@ -33,7 +33,8 @@ from repro.devtools.analysis.model import AnalysisModel, get_analysis
 from repro.devtools.core import Finding, Rule, SourceFile, register
 from repro.devtools.project import ProjectModel
 
-__all__ = ["external_reference_files"]
+#: Importing the module registers DX01/DX02; it exports nothing.
+__all__: List[str] = []
 
 #: Project-root-relative directories scanned for external references.
 _EXTERNAL_ROOTS = ("tests", "benchmarks", "examples")
@@ -44,7 +45,7 @@ _SURFACE_TEST = "tests/test_api_surface.py"
 _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-def external_reference_files(project_root: Path) -> List[Path]:
+def _external_reference_files(project_root: Path) -> List[Path]:
     """Every external file whose contents feed the DX liveness scan."""
     out: List[Path] = []
     for root in _EXTERNAL_ROOTS:
@@ -76,7 +77,7 @@ class _ReferenceIndex:
         #: words in external consumers, split by file for the DX01
         #: surface-test exclusion.
         self.external_words: Dict[str, Set[str]] = {}
-        for path in external_reference_files(project_root):
+        for path in _external_reference_files(project_root):
             try:
                 relpath = path.relative_to(project_root).as_posix()
                 text = path.read_text(encoding="utf-8")
@@ -106,15 +107,8 @@ def _reference_index(
     return cached
 
 
-class _DxRule(Rule):
-    scope = "global"
-
-    def external_inputs(self, project_root: Path) -> List[Path]:
-        return external_reference_files(project_root)
-
-
 @register
-class DeadExport(_DxRule):
+class DeadExport(Rule):
     """DX01: an ``__all__`` entry nothing outside the module uses."""
 
     id = "DX01"
@@ -149,7 +143,7 @@ class DeadExport(_DxRule):
 
 
 @register
-class DeadDefinition(_DxRule):
+class DeadDefinition(Rule):
     """DX02: a top-level definition with zero references anywhere."""
 
     id = "DX02"

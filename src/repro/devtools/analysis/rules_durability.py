@@ -27,7 +27,6 @@ leg of that protocol on the effect sequences built by
 
 from __future__ import annotations
 
-import ast
 from typing import Iterator, List
 
 from repro.devtools.analysis.effects import (
@@ -50,19 +49,13 @@ class AtomicReplaceRule(Rule):
         "file, and a rename/unlink with no directory fsync after it "
         "can vanish entirely on power loss."
     )
-    scope = "cone"
 
     def run(self, project, files: List[SourceFile]) -> Iterator[Finding]:
         summaries = effect_summaries(project, files)
-        emit = {file.relpath for file in files}
-        by_relpath = {file.relpath: file for file in files}
         for qualname, fn in sorted(project.functions.items()):
-            if fn.file.relpath not in emit:
-                continue
-            file = by_relpath[fn.file.relpath]
             effects = summaries[qualname]
-            yield from self._check_torn_write(file, effects)
-            yield from self._check_dir_fsync(file, effects)
+            yield from self._check_torn_write(fn.file, effects)
+            yield from self._check_dir_fsync(fn.file, effects)
 
     def _check_torn_write(
         self, file: SourceFile, effects: FunctionEffects
@@ -121,18 +114,15 @@ class OrderingContractRule(Rule):
         "declared ordering is checked on the function's flattened "
         "effect sequence so refactors cannot silently reorder them."
     )
-    scope = "cone"
 
     def run(self, project, files: List[SourceFile]) -> Iterator[Finding]:
         summaries = effect_summaries(project, files)
         index = get_effect_index(project, files)
-        emit = {file.relpath for file in files}
-        by_relpath = {file.relpath: file for file in files}
         for qualname, pairs in sorted(index.orderings.items()):
             fn = project.functions.get(qualname)
-            if fn is None or fn.file.relpath not in emit:
+            if fn is None:
                 continue
-            file = by_relpath[fn.file.relpath]
+            file = fn.file
             kinds = [event.kind for event in summaries[qualname].events]
             lines = [event.line for event in summaries[qualname].events]
             for before, after in pairs:
@@ -161,16 +151,11 @@ class UnflushedWriteRule(Rule):
         "buffer: fsync on a handle with unflushed writes syncs stale "
         "bytes and the tail is lost on crash."
     )
-    scope = "cone"
 
     def run(self, project, files: List[SourceFile]) -> Iterator[Finding]:
         summaries = effect_summaries(project, files)
-        emit = {file.relpath for file in files}
-        by_relpath = {file.relpath: file for file in files}
         for qualname, fn in sorted(project.functions.items()):
-            if fn.file.relpath not in emit:
-                continue
-            file = by_relpath[fn.file.relpath]
+            file = fn.file
             dirty = {}
             for event in summaries[qualname].direct:
                 if not event.detail:

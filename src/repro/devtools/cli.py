@@ -31,8 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description="Static analysis for the repro codebase "
-        "(concurrency, numeric hygiene, domain invariants, exception "
-        "flow, dead exports, durability protocol, serialization).",
+        "(concurrency, numeric hygiene, dead code, durability protocol).",
     )
     parser.add_argument(
         "paths",
@@ -89,24 +88,13 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="treat stale baseline entries as errors (exit 1)",
     )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental analysis cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="cache directory (default: .lint-cache under the project "
-        "root)",
-    )
     return parser
 
 
 def _list_rules() -> str:
     lines = []
     for rule_id, rule_class in sorted(all_rules().items()):
-        lines.append(f"{rule_id}  {rule_class.name} [{rule_class.scope}]")
+        lines.append(f"{rule_id}  {rule_class.name}")
         lines.append(f"      {rule_class.rationale}")
     return "\n".join(lines)
 
@@ -141,20 +129,12 @@ def _run(args: argparse.Namespace) -> int:
     if args.select:
         select = {part.strip() for part in args.select.split(",") if part.strip()}
 
-    cache_dir: Optional[Path] = None
-    if args.cache_dir:
-        cache_dir = Path(args.cache_dir)
-        if not cache_dir.is_absolute():
-            cache_dir = root / cache_dir
-
     result = run_lint(
         paths=paths,
         project_root=root,
         baseline_path=None if args.update_baseline else baseline_path,
         select=select,
         show_all=args.show_all,
-        use_cache=not args.no_cache,
-        cache_dir=cache_dir,
     )
 
     if args.update_baseline:

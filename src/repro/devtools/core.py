@@ -3,8 +3,8 @@
 The pieces every rule shares:
 
 * :class:`SourceFile` -- one parsed module.  The runner parses each
-  file once per run from content it already hashed for the incremental
-  cache, so the many rules of one run share a single AST per file.
+  file once per run, so the many rules of one run share a single AST
+  per file.
 * Inline suppressions -- a ``# repro: lint-disable[CC02]`` comment
   suppresses the listed rules on its own line; when the comment stands
   alone it suppresses the *next* code line; on a ``def``/``class``
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Set, Type
 
@@ -128,33 +128,14 @@ class Rule:
     :meth:`run`, yielding findings.  Registration happens via the
     :func:`register` decorator; the runner instantiates each rule once
     per lint run.
-
-    ``scope`` tells the incremental cache how findings depend on the
-    tree, so it can skip re-running rules over unchanged files:
-
-    * ``"file"`` -- findings for a file depend on that file alone;
-    * ``"cone"`` -- findings for a file depend on the file plus its
-      transitive imports (the rule only *emits* for files it receives
-      in ``files``, while reading the whole project model);
-    * ``"global"`` -- findings may depend on anything, including files
-      outside the lint set; any change reruns the rule everywhere.
-
-    Rules whose output also depends on non-linted files (tests,
-    benchmarks, examples) declare them via :meth:`external_inputs`;
-    the cache hashes those too.
     """
 
     id: str = ""
     name: str = ""
     rationale: str = ""
-    scope: str = "global"
 
     def run(self, project: "object", files: List[SourceFile]) -> Iterator[Finding]:
         raise NotImplementedError
-
-    def external_inputs(self, project_root: Path) -> List[Path]:
-        """Non-linted files whose contents influence this rule."""
-        return []
 
     def finding(self, file: SourceFile, line: int, message: str) -> Finding:
         return Finding(
@@ -185,10 +166,7 @@ def all_rules() -> Dict[str, Type[Rule]]:
     from repro.devtools import rules_concurrency, rules_numeric  # noqa: F401
     from repro.devtools.analysis import (  # noqa: F401
         rules_deadcode,
-        rules_domain,
         rules_durability,
-        rules_exceptions,
-        rules_serialization,
     )
 
     return dict(_REGISTRY)

@@ -30,33 +30,18 @@ def format_human(result: "LintResult") -> str:
             f"({entry.line_text!r}) -- remove it"
         )
     active = result.active_findings()
-    checked = getattr(result, "checked_count", None)
-    if checked is None:
-        checked = len(result.files)
-    summary = (
+    lines.append(
         f"{len(active)} finding(s)"
         f" ({len(result.findings) - len(active)} suppressed/baselined,"
-        f" {checked} file(s) checked)"
+        f" {len(result.files)} file(s) checked)"
     )
-    cache_status = getattr(result, "cache_status", "disabled")
-    if cache_status != "disabled":
-        summary += (
-            f" [cache {cache_status}:"
-            f" {len(getattr(result, 'reanalyzed', []))} re-analyzed]"
-        )
-    lines.append(summary)
     return "\n".join(lines)
 
 
 def format_json(result: "LintResult") -> str:
     """Machine-readable report for CI."""
-    checked = getattr(result, "checked_count", None)
-    if checked is None:
-        checked = len(result.files)
     payload = {
-        "files_checked": checked,
-        "cache_status": getattr(result, "cache_status", "disabled"),
-        "reanalyzed": sorted(getattr(result, "reanalyzed", [])),
+        "files_checked": len(result.files),
         "findings": [
             {
                 "rule": finding.rule,

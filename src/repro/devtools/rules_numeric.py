@@ -66,7 +66,6 @@ def _is_exact_literal(node: ast.AST) -> bool:
 @register
 class FloatEqualityRule(Rule):
     id = "NH01"
-    scope = "file"
     name = "float-equality-on-trust-values"
     rationale = (
         "Trust/suspicion/model-error floats are order-of-accumulation "
@@ -119,7 +118,6 @@ class FloatEqualityRule(Rule):
 @register
 class UnseededRandomRule(Rule):
     id = "NH02"
-    scope = "file"
     name = "unseeded-randomness-in-experiments"
     rationale = (
         "Experiment results are published numbers (EXPERIMENTS.md); all "
@@ -182,7 +180,6 @@ class UnseededRandomRule(Rule):
 @register
 class SilentExceptRule(Rule):
     id = "NH03"
-    scope = "file"
     name = "silent-exception-swallow"
     rationale = (
         "`except Exception: pass` hides numeric corruption (NaNs, failed "

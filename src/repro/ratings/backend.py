@@ -30,12 +30,6 @@ from repro.ratings.models import Rating
 
 __all__ = ["RatingStoreBackend", "InMemoryBackend"]
 
-# Domain contracts checked by `repro lint` (rule family DI): sequence
-# numbers are non-negative log positions.
-__lint_contracts__ = {
-    "RatingStoreBackend.add": {"params": {"seq": "[0, inf)"}},
-}
-
 
 class RatingStoreBackend(abc.ABC):
     """Storage engine behind a :class:`~repro.ratings.store.RatingStore`.

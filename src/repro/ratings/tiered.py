@@ -33,12 +33,6 @@ from repro.ratings.models import Rating
 
 __all__ = ["TieredRatingBackend"]
 
-# Domain contracts checked by `repro lint` (rule family DI): sequence
-# positions are non-negative.
-__lint_contracts__ = {
-    "TieredRatingBackend.truncate_from": {"params": {"seq": "[0, inf)"}},
-}
-
 #: Buffered inserts per sqlite transaction.  Each commit is durable
 #: (``synchronous=FULL``), so this trades the durable lag of the store
 #: against one fsync per commit; engine snapshots commit regardless.

@@ -26,12 +26,6 @@ from repro.errors import ConfigurationError
 
 __all__ = ["ConsistentHashRing"]
 
-__lint_contracts__ = {
-    "ConsistentHashRing.__init__": {
-        "params": {"n_workers": "[1, inf)", "replicas": "[1, inf)"},
-    },
-}
-
 
 def _point(key: str) -> int:
     """Stable 64-bit ring position for a string key."""

@@ -43,20 +43,6 @@ __all__ = [
     "COMBINERS",
 ]
 
-# Domain contracts checked by `repro lint` (rule family DI): a single
-# rating's suspicion charge is a probability-like level in [0, 1];
-# combiner weights are non-negative.
-__lint_contracts__ = {
-    "unit_suspicion": {
-        "params": {"suspicion": "[0, 1]"},
-        "returns": "[0, 1]",
-        "validates": ["suspicion"],
-    },
-    "OnlineSuspicionSource.__init__": {
-        "params": {"threshold": "[0, 1]", "score_every": "[1, inf)"},
-    },
-}
-
 
 def unit_suspicion(suspicion: float) -> float:
     """Validate one rating's suspicion level lies in ``[0, 1]``.

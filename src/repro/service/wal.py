@@ -86,19 +86,6 @@ __all__ = [
     "WAL_LOCK_FILENAME",
 ]
 
-# Domain contracts checked by `repro lint` (rule family DI): sequence
-# positions and GC horizons are non-negative; rotation/batching knobs
-# are positive counts.
-__lint_contracts__ = {
-    "WriteAheadLog.__init__": {
-        "params": {"fsync_every": "[1, inf)", "segment_entries": "[1, inf)"},
-    },
-    "WriteAheadLog.gc": {"params": {"horizon": "[0, inf)"}},
-    "replay_wal": {"params": {"start": "[0, inf)"}},
-    "replay_wal_meta": {"params": {"start": "[0, inf)"}},
-    "prune_snapshots": {"params": {"keep": "[1, inf)"}},
-}
-
 logger = logging.getLogger(__name__)
 
 PathLike = Union[str, Path]

@@ -66,15 +66,6 @@ _REBUILD_EVERY = 64
 # underestimate the true condition number by a modest factor.
 _INCREMENTAL_COND_LIMIT = 1e4
 
-# Domain contracts checked by `repro lint` (rule family DI): see
-# repro.devtools.analysis.contracts.
-__lint_contracts__ = {
-    "SlidingCovarianceFitter.__init__": {
-        "params": {"order": "[1, inf)", "capacity": "[3, inf)"},
-    },
-    "fit_windows": {"params": {"order": "[1, inf)"}},
-}
-
 
 class SlidingCovarianceFitter:
     """Incremental covariance-method AR fitter over a sliding buffer.

@@ -247,17 +247,12 @@ EXPECTED_EXPORTS = {
         "run_lint",
     ],
     "repro.devtools.analysis": [
-        "AnalysisCache",
         "AnalysisModel",
-        "ContractRegistry",
         "EffectEvent",
         "EffectRegistry",
-        "FunctionContract",
         "FunctionEffects",
-        "Interval",
         "ModuleInfo",
         "default_effect_registry",
-        "default_registry",
         "effect_summaries",
         "get_analysis",
     ],

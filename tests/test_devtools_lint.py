@@ -8,6 +8,7 @@ clean on ``src/``.
 from __future__ import annotations
 
 import json
+import os
 import textwrap
 from pathlib import Path
 
@@ -493,14 +494,28 @@ class TestRunnerAndCli:
         ids = set(all_rules())
         assert {"CC01", "CC02", "CC03",
                 "NH01", "NH02", "NH03",
-                "DI01", "DI02", "DI03",
-                "EX01", "EX02", "DX01", "DX02",
-                "DP01", "DP02", "DP03",
-                "SD01", "SD02"} == ids
+                "DX01", "DX02",
+                "DP01", "DP02", "DP03"} == ids
+
+
+def _checkout_state(root: Path) -> dict:
+    """Every file (size, mtime) and directory under ``root``, minus
+    ``.git`` and the interpreter's ``__pycache__`` directories."""
+    state = {}
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = [d for d in dirnames if d not in (".git", "__pycache__")]
+        for name in dirnames:
+            state[os.path.join(dirpath, name)] = None
+        for name in filenames:
+            path = os.path.join(dirpath, name)
+            stat = os.stat(path)
+            state[path] = (stat.st_size, stat.st_mtime_ns)
+    return state
 
 
 class TestSelfCheck:
     def test_repro_lint_is_clean_on_src_with_committed_baseline(self):
+        before = _checkout_state(PROJECT_ROOT)
         result = run_lint(
             [PROJECT_ROOT / "src"],
             project_root=PROJECT_ROOT,
@@ -508,6 +523,10 @@ class TestSelfCheck:
         )
         assert result.active_findings() == []
         assert result.stale_baseline == []
+        # Linting reads the checkout and writes nothing into it.
+        after = _checkout_state(PROJECT_ROOT)
+        assert sorted(set(after) - set(before)) == []
+        assert sorted(p for p in before if after.get(p) != before[p]) == []
 
     def test_committed_baseline_is_small_and_justified(self):
         baseline = Baseline.load(PROJECT_ROOT / ".lint-baseline.json")
